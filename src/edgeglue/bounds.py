@@ -79,10 +79,7 @@ def es_exponent_forest(alpha, s: PatternStats) -> Fraction:
         raise InfeasibleInput(
             "(v(F)-1) + (1-e(F))(1-alpha) < 1: the deletion lower bound rules this out"
         )
-    first = 1 - Fraction(s.h - s.ell, s.eH - s.eF)
-    denom = (s.ell - 1) + (1 - s.eF) * (1 - alpha)
-    second = 1 - (1 - alpha) / denom
-    return max(first, second)
+    return max(es_exponent_branches(alpha, s))
 
 
 def es_exponent_branches(alpha, s: PatternStats) -> tuple[Fraction, Fraction]:

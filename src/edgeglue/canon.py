@@ -19,7 +19,14 @@ from itertools import permutations
 from math import factorial
 
 from .errors import SizeExceeded
-from .graphs import LabeledGraph, SignedBipartiteGraph, encode_graph6
+from .graphs import (
+    LabeledGraph,
+    SignedBipartiteGraph,
+    decode_graph6,
+    decode_sb,
+    encode_graph6,
+    encode_sb,
+)
 
 MAX_CANONICAL_VERTICES = 32
 MAX_AUTOMORPHISM_VERTICES = 16
@@ -131,12 +138,6 @@ def _initial_colors(g: LabeledGraph, colors=None) -> list[int]:
     return list(colors)
 
 
-def canonical_order(g: LabeledGraph, colors=None) -> list[int]:
-    """A canonical vertex order (order[i] = original index of new vertex i)."""
-    _, order = _canonical_search(g.adjacency, _initial_colors(g, colors))
-    return order
-
-
 def canonical_form(g: LabeledGraph | SignedBipartiteGraph) -> CanonicalLabel:
     """Isomorphism-invariant certificate; sign-respecting in the signed case."""
     if isinstance(g, SignedBipartiteGraph):
@@ -160,40 +161,26 @@ def _canonical_form_signed(g: SignedBipartiteGraph) -> CanonicalLabel:
             f"canonical_form supports at most {MAX_CANONICAL_VERTICES} vertices"
         )
     flat = g.as_unsigned()
-    m = g.plus_count
-    # + and - are colours that may not be exchanged
-    colors = [0] * m + [1] * g.minus_count
     if g.vertex_count == 0:
         order = []
     else:
-        _, order = _canonical_search(flat.adjacency, colors)
+        # + and - are colours that may not be exchanged
+        _, order = _canonical_search(flat.adjacency, list(g.colors))
     pos = [0] * g.vertex_count
     for i, v in enumerate(order):
         pos[v] = i
     # colour classes stay contiguous, + first, because refinement only splits
-    relabeled = flat.relabel(pos)
-    bits = []
-    for p in range(m):
-        for q in range(g.minus_count):
-            bits.append("1" if relabeled.has_edge(p, m + q) else "0")
-    payload = f"sb:{m}:{g.minus_count}:{''.join(bits)}"
-    return CanonicalLabel(payload.encode())
+    relabeled = SignedBipartiteGraph.from_flat(g.plus_count, flat.relabel(pos))
+    return CanonicalLabel(encode_sb(relabeled).encode())
 
 
 def decode_canonical(label: CanonicalLabel) -> LabeledGraph | SignedBipartiteGraph:
     """Certificates are decodable: recover the canonical representative."""
-    from .graphs import decode_graph6
-
     raw = label.bytes
     if raw.startswith(b"g6:"):
         return decode_graph6(raw[3:].decode())
     if raw.startswith(b"sb:"):
-        _, m, n, bits = raw.decode().split(":")
-        m, n = int(m), int(n)
-        edges = [
-            (p, q) for p in range(m) for q in range(n) if bits[p * n + q] == "1"
-        ]
-        return SignedBipartiteGraph(m, n, edges)
+        return decode_sb(raw.decode())
     raise ValueError("unknown certificate format")
 
 
@@ -273,8 +260,7 @@ def automorphism_count(h: LabeledGraph, signed_colors=None) -> int:
 
 def signed_automorphism_count(h: SignedBipartiteGraph) -> int:
     """Automorphisms fixing the + and - sides setwise."""
-    colors = [0] * h.plus_count + [1] * h.minus_count
-    return automorphism_count(h.as_unsigned(), signed_colors=colors)
+    return automorphism_count(h.as_unsigned(), signed_colors=h.colors)
 
 
 def automorphism_count_bruteforce(h: LabeledGraph) -> int:

@@ -19,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds, constructions, extremal, gluing, store, supersat
-from .errors import EdgeGlueError
+from .errors import EdgeGlueError, EdgeNotInGraph, ParseError
 from .graphs import (
     LabeledGraph,
     decode_graph6,
@@ -32,7 +32,10 @@ STORE_ENV = "EDGEGLUE_STORE"
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
 def _emit(obj) -> None:
@@ -48,6 +51,14 @@ def _store_path(args) -> str | None:
     return getattr(args, "store", None) or os.environ.get(STORE_ENV)
 
 
+def _edge_at(g: LabeledGraph, index: int) -> tuple[int, int]:
+    """The edge a CLI edge index names: an index into g.sorted_edges."""
+    try:
+        return g.sorted_edges[index]
+    except IndexError:
+        raise EdgeNotInGraph(f"edge index {index} out of range for {g.edge_count} edges") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -56,8 +67,8 @@ def _store_path(args) -> str | None:
 def cmd_glue(args) -> int:
     a = parse_graph(args.a)
     b = parse_graph(args.b)
-    ea = a.sorted_edges[args.ea]
-    eb = b.sorted_edges[args.eb]
+    ea = _edge_at(a, args.ea)
+    eb = _edge_at(b, args.eb)
     for g in gluing.glue_along_edge(a, ea, b, eb):
         print(encode_graph6(g))
     return 0
@@ -137,22 +148,21 @@ def cmd_ratio(args) -> int:
 def _rooted_from_args(args) -> gluing.RootedPattern:
     h = parse_graph(args.pattern)
     if args.root_edge is not None:
-        return gluing.edge_rooted(h, h.sorted_edges[args.root_edge])
+        return gluing.edge_rooted(h, _edge_at(h, args.root_edge))
     roots = tuple(int(t) for t in args.root_vertices.split(","))
     redges = frozenset(
         tuple(int(x) for x in pair.split("-"))
         for pair in (args.root_edges.split(",") if args.root_edges else [])
     )
-    dist = h.sorted_edges[args.marked_edge] if args.marked_edge is not None else None
+    dist = _edge_at(h, args.marked_edge) if args.marked_edge is not None else None
     return gluing.RootedPattern(h, roots, redges, dist)
 
 
 def cmd_exponent(args) -> int:
     p = _rooted_from_args(args)
     stats = bounds.PatternStats.from_rooted(p)
-    alpha = _frac(args.alpha)
-    value = bounds.es_exponent_forest(alpha, stats)
-    b1, b2 = bounds.es_exponent_branches(alpha, stats)
+    value = bounds.es_exponent_forest(args.alpha, stats)
+    b1, b2 = bounds.es_exponent_branches(args.alpha, stats)
     _emit({"alpha_prime": _frac_str(value), "branch": 1 if b1 >= b2 else 2})
     return 0
 
@@ -160,9 +170,7 @@ def cmd_exponent(args) -> int:
 def cmd_threshold(args) -> int:
     p = _rooted_from_args(args)
     stats = bounds.PatternStats.from_rooted(p)
-    th = bounds.cleaning_threshold(
-        args.n, stats, _frac(args.gamma), _frac(args.alpha), _frac(args.c)
-    )
+    th = bounds.cleaning_threshold(args.n, stats, args.gamma, args.alpha, args.c)
     _emit(
         {
             "value": th.value,
@@ -174,10 +182,16 @@ def cmd_threshold(args) -> int:
     return 0
 
 
+_CONSTRUCT_NEEDS = {"gnp": ("n", "p"), "deletion": ("n", "forbid"), "sign-split": ("host",)}
+
+
 def cmd_construct(args) -> int:
+    missing = [f"--{name}" for name in _CONSTRUCT_NEEDS[args.kind] if getattr(args, name) is None]
+    if missing:
+        raise EdgeGlueError(f"construct --kind {args.kind} needs {' and '.join(missing)}")
     sampler = constructions.SeededSampler(args.seed)
     if args.kind == "gnp":
-        p = float(_frac(args.p))
+        p = float(args.p)
         g = constructions.sample_gnp(args.n, p, sampler)
         header = {"kind": "gnp", "seed": args.seed, "p": p, "n": args.n}
     elif args.kind == "deletion":
@@ -190,15 +204,13 @@ def cmd_construct(args) -> int:
             "n": args.n,
             "forbidden": args.forbid,
         }
-    elif args.kind == "sign-split":
+    else:
         base = parse_graph(args.host)
         sg = constructions.random_sign_split(base, sampler)
         header = {"kind": "sign-split", "seed": args.seed, "n": base.vertex_count}
         _emit(header)
         print(sg.to_json())
         return 0
-    else:
-        raise EdgeGlueError(f"unknown construct kind {args.kind!r}")
     _emit(header)
     print(encode_graph6(g))
     return 0
@@ -220,7 +232,13 @@ def cmd_supersat(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    payload = json.loads(open(args.family, encoding="utf-8").read())
+    try:
+        with open(args.family, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise EdgeGlueError(f"cannot read family file: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"family file is not JSON: {exc}") from exc
     host = decode_graph6(payload["host"])
     pattern = decode_graph6(payload["pattern"])
     p = gluing.RootedPattern(
@@ -275,7 +293,6 @@ def _add_rooted_flags(sp):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="edgeglue")
-    ap.add_argument("--threads", type=int, default=1, help="worker cap (engines are sequential)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("glue", help="glue two graphs along marked edges")
@@ -316,22 +333,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("exponent", help="forest-gluing exponent")
-    sp.add_argument("--alpha", required=True, help="rational, e.g. 1/2")
+    sp.add_argument("--alpha", type=_frac, required=True, help="rational, e.g. 1/2")
     _add_rooted_flags(sp)
     sp.set_defaults(func=cmd_exponent)
 
     sp = sub.add_parser("threshold", help="greedy-builder density threshold")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--gamma", required=True)
-    sp.add_argument("--c", default="1")
+    sp.add_argument("--alpha", type=_frac, required=True)
+    sp.add_argument("--gamma", type=_frac, required=True)
+    sp.add_argument("--c", type=_frac, default=Fraction(1))
     _add_rooted_flags(sp)
     sp.set_defaults(func=cmd_threshold)
 
     sp = sub.add_parser("construct", help="seeded random constructions")
     sp.add_argument("--kind", choices=["gnp", "deletion", "sign-split"], required=True)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", default=None)
+    sp.add_argument("--p", type=_frac, default=None)
     sp.add_argument("--forbid", default=None)
     sp.add_argument("--host", default=None)
     sp.add_argument("--seed", type=int, required=True)

@@ -11,10 +11,10 @@ the map tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .canon import automorphism_count, signed_automorphism_count
-from .errors import InvalidPartialMap, SizeExceeded
+from .errors import InvalidPartialMap, InvariantViolation, SizeExceeded
 from .graphs import LabeledGraph, SignedBipartiteGraph
 
 MAX_PATTERN_VERTICES = 12
@@ -44,16 +44,12 @@ def _check_caps(pattern_n: int, host_n: int):
         raise SizeExceeded(f"host limited to {MAX_HOST_VERTICES} vertices")
 
 
-def _signed_colors(g: SignedBipartiteGraph) -> list[int]:
-    return [0] * g.plus_count + [1] * g.minus_count
-
-
 def _backtrack(
     pattern: LabeledGraph,
     host: LabeledGraph,
     fixed: dict[int, int],
-    pattern_colors: Optional[list[int]],
-    host_colors: Optional[list[int]],
+    pattern_colors: Optional[Sequence[int]],
+    host_colors: Optional[Sequence[int]],
     limit: Optional[int],
 ) -> Iterator[Embedding]:
     pn, hn = pattern.vertex_count, host.vertex_count
@@ -121,7 +117,7 @@ def enumerate_embeddings(h, g, limit: Optional[int] = None) -> Iterator[Embeddin
     if isinstance(h, SignedBipartiteGraph) != isinstance(g, SignedBipartiteGraph):
         raise TypeError("pattern and host must both be signed or both unsigned")
     if isinstance(h, SignedBipartiteGraph):
-        pc, hc = _signed_colors(h), _signed_colors(g)
+        pc, hc = h.colors, g.colors
         h, g = h.as_unsigned(), g.as_unsigned()
     else:
         pc = hc = None
@@ -140,7 +136,8 @@ def count_copies(h, g) -> int:
         aut = signed_automorphism_count(h)
     else:
         aut = automorphism_count(h)
-    assert total % aut == 0
+    if total % aut:
+        raise InvariantViolation(f"{total} embeddings is not a multiple of |Aut| = {aut}")
     return total // aut
 
 

@@ -14,7 +14,7 @@ this representation:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -34,7 +34,9 @@ from .graphs import (
     SignedBipartiteGraph,
     complete,
     decode_graph6,
+    decode_sb,
     encode_graph6,
+    encode_sb,
     signed_complete_bipartite,
 )
 
@@ -44,57 +46,22 @@ DEFAULT_ORACLE_MAX_CELLS = 25
 DEFAULT_BNB_MAX_CELLS = 64
 _ORACLE_MAX_BITS = 28
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
+def _copy_masks(host, slots, patterns) -> list[int]:
+    """Minimal copy masks of the patterns in host; bit k stands for slots[k].
 
-def _turan_bit_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = k
-            k += 1
-    return idx
-
-
-def _turan_copy_masks(n: int, forbidden: Sequence[LabeledGraph]) -> list[int]:
-    idx = _turan_bit_index(n)
-    host = complete(n)
+    Callers pass only the patterns that fit into the host.
+    """
+    slot = {e: k for k, e in enumerate(slots)}
     masks = set()
-    for h in forbidden:
+    for h in patterns:
         if h.edge_count == 0:
-            if h.vertex_count <= n:
-                raise InfeasibleInput(
-                    "a forbidden pattern with no edges occurs in every host"
-                )
-            continue
-        if h.vertex_count > n:
-            continue
+            raise InfeasibleInput("a forbidden pattern with no edges occurs in every host")
         for emb in enumerate_embeddings(h, host):
             mask = 0
-            for e in h.edges:
-                mask |= 1 << idx[emb.image_edge(e)]
+            for e in emb.pattern.edges:
+                mask |= 1 << slot[emb.image_edge(e)]
             masks.add(mask)
-    return _prune_dominated(masks)
-
-
-def _zarankiewicz_copy_masks(m: int, n: int, h: SignedBipartiteGraph) -> list[int]:
-    host = signed_complete_bipartite(m, n)
-    masks = set()
-    if h.edge_count == 0:
-        if h.plus_count <= m and h.minus_count <= n:
-            raise InfeasibleInput("a forbidden pattern with no edges occurs in every host")
-        return []
-    if h.plus_count > m or h.minus_count > n:
-        return []
-    hm = h.plus_count
-    for emb in enumerate_embeddings(h, host):
-        mask = 0
-        for p, q in h.edges:
-            hp = emb.map[p]
-            hq = emb.map[hm + q] - m
-            mask |= 1 << (hp * n + hq)
-        masks.add(mask)
     return _prune_dominated(masks)
 
 
@@ -134,7 +101,7 @@ def exhaustive_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, int]:
         if not free.any():
             continue
         arr = arr[free]
-        pc = _POPCOUNT16[arr & dtype(0xFFFF)] + _POPCOUNT16[(arr >> dtype(16)) & dtype(0xFFFF)]
+        pc = np.bitwise_count(arr)
         top = int(pc.max())
         if top > best:
             best = top
@@ -184,15 +151,12 @@ def branch_and_bound_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, in
     return best, witness
 
 
-def _mask_to_graph(n: int, mask: int) -> LabeledGraph:
-    idx = _turan_bit_index(n)
-    return LabeledGraph(n, [e for e, b in idx.items() if mask >> b & 1])
-
-
-def _mask_to_signed(m: int, n: int, mask: int) -> SignedBipartiteGraph:
-    return SignedBipartiteGraph(
-        m, n, [(p, q) for p in range(m) for q in range(n) if mask >> (p * n + q) & 1]
-    )
+def _witness(host, slots, mask: int) -> str:
+    """Encode the slots selected by mask: graph6, or sb: for a signed host."""
+    flat = LabeledGraph(host.vertex_count, [e for k, e in enumerate(slots) if mask >> k & 1])
+    if isinstance(host, SignedBipartiteGraph):
+        return encode_sb(SignedBipartiteGraph.from_flat(host.plus_count, flat))
+    return encode_graph6(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +170,7 @@ class ExtremalRecord:
     forbidden: tuple[str, ...]  # canonical certificates (decodable)
     size: tuple[int, ...]  # (n,) or (m, n)
     value: int
-    witness: str  # graph6 of the witness (flattened, + side first, if signed)
+    witness: str  # graph6 (turan) or sb:m:n:bits (zarankiewicz) of the witness
     method: str  # "oracle" | "branch-and-bound" | "cached"
     runtime_ms: int
     seed: Optional[int] = None
@@ -216,13 +180,12 @@ class ExtremalRecord:
         return (self.kind, self.forbidden, self.size)
 
     def witness_graph(self):
-        g = decode_graph6(self.witness)
-        if self.kind == "zarankiewicz":
-            m, n = self.size
-            return SignedBipartiteGraph(
-                m, n, [(a, b - m) for a, b in g.edges]
-            )
-        return g
+        if self.kind == "turan":
+            return decode_graph6(self.witness)
+        if self.witness.startswith("sb:"):
+            return decode_sb(self.witness)
+        # z records written before the sb: witness hold the flattened graph6
+        return SignedBipartiteGraph.from_flat(self.size[0], decode_graph6(self.witness))
 
     def forbidden_graphs(self):
         return [decode_canonical(CanonicalLabel(c.encode())) for c in self.forbidden]
@@ -274,6 +237,34 @@ def forbidden_certificates(forbidden) -> tuple[str, ...]:
     return tuple(sorted(canonical_form(h).bytes.decode() for h in forbidden))
 
 
+def _solve(host, patterns, forbidden, method: str) -> ExtremalRecord:
+    """The front end both exact_* share: masks, one engine, witness, record.
+
+    Edge slots are the flattened host's sorted edges: for K_n slot k is the
+    k-th pair (i, j) in lexicographic order, and for the signed K_{m,n} slot
+    p*n+q is the edge (p, q).
+    """
+    t0 = time.perf_counter()
+    signed = isinstance(host, SignedBipartiteGraph)
+    slots = (host.as_unsigned() if signed else host).sorted_edges
+    masks = _copy_masks(host, slots, patterns)
+    if method == "oracle":
+        value, wmask = exhaustive_max_free(len(slots), masks)
+    else:
+        value, wmask = branch_and_bound_max_free(len(slots), masks)
+    runtime = int((time.perf_counter() - t0) * 1000)
+    return ExtremalRecord(
+        kind="zarankiewicz" if signed else "turan",
+        forbidden=forbidden_certificates(forbidden),
+        size=(host.plus_count, host.minus_count) if signed else (host.vertex_count,),
+        value=value,
+        witness=_witness(host, slots, wmask),
+        method=method,
+        runtime_ms=runtime,
+        timestamp=_now(),
+    )
+
+
 def exact_turan(
     n: int,
     forbidden,
@@ -293,24 +284,7 @@ def exact_turan(
             raise SizeExceeded(f"branch-and-bound capped at n={bnb_max_n}")
     else:
         raise ValueError(f"unknown method {method!r}")
-    t0 = time.perf_counter()
-    masks = _turan_copy_masks(n, forbidden)
-    nbits = n * (n - 1) // 2
-    if method == "oracle":
-        value, wmask = exhaustive_max_free(nbits, masks)
-    else:
-        value, wmask = branch_and_bound_max_free(nbits, masks)
-    runtime = int((time.perf_counter() - t0) * 1000)
-    return ExtremalRecord(
-        kind="turan",
-        forbidden=forbidden_certificates(forbidden),
-        size=(n,),
-        value=value,
-        witness=encode_graph6(_mask_to_graph(n, wmask)),
-        method=method,
-        runtime_ms=runtime,
-        timestamp=_now(),
-    )
+    return _solve(complete(n), [h for h in forbidden if h.vertex_count <= n], forbidden, method)
 
 
 def exact_zarankiewicz(
@@ -331,24 +305,8 @@ def exact_zarankiewicz(
             raise SizeExceeded(f"branch-and-bound capped at m*n={bnb_max_cells}")
     else:
         raise ValueError(f"unknown method {method!r}")
-    t0 = time.perf_counter()
-    masks = _zarankiewicz_copy_masks(m, n, h)
-    if method == "oracle":
-        value, wmask = exhaustive_max_free(cells, masks)
-    else:
-        value, wmask = branch_and_bound_max_free(cells, masks)
-    runtime = int((time.perf_counter() - t0) * 1000)
-    witness = _mask_to_signed(m, n, wmask)
-    return ExtremalRecord(
-        kind="zarankiewicz",
-        forbidden=(canonical_form(h).bytes.decode(),),
-        size=(m, n),
-        value=value,
-        witness=encode_graph6(witness.as_unsigned()),
-        method=method,
-        runtime_ms=runtime,
-        timestamp=_now(),
-    )
+    fits = h.plus_count <= m and h.minus_count <= n
+    return _solve(signed_complete_bipartite(m, n), [h] if fits else [], [h], method)
 
 
 # ---------------------------------------------------------------------------

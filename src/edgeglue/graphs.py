@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EdgeNotInGraph, ParseError, VertexNotInGraph
@@ -151,7 +151,9 @@ class SignedBipartiteGraph:
     """Bipartite graph with fixed + and - sides.
 
     Edges join a +-indexed vertex to a --indexed vertex; the two index
-    spaces are independent (both 0-based).
+    spaces are independent (both 0-based).  This class is the only code that
+    knows the flat layout (+ vertices 0..m-1, then - vertices m..m+n-1) and
+    the ``sb:m:n:bits`` encoding; everything else goes through its helpers.
     """
 
     plus_count: int
@@ -190,8 +192,34 @@ class SignedBipartiteGraph:
 
     def as_unsigned(self) -> LabeledGraph:
         """Flatten to a LabeledGraph: + vertices first, then - vertices."""
-        m = self.plus_count
-        return LabeledGraph(self.vertex_count, [(p, m + q) for p, q in self.edges])
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> LabeledGraph:
+        return LabeledGraph(self.vertex_count, [self.flat_edge(e) for e in self.edges])
+
+    @cached_property
+    def colors(self) -> tuple[int, ...]:
+        """Side of each flat vertex: 0 for +, 1 for -."""
+        return (0,) * self.plus_count + (1,) * self.minus_count
+
+    def flat_edge(self, e) -> tuple[int, int]:
+        """(+ index, - index) -> the same edge of as_unsigned()."""
+        p, q = e
+        return (p, self.plus_count + q)
+
+    def side_edge(self, e) -> tuple[int, int]:
+        """Edge of as_unsigned() -> (+ index, - index)."""
+        return _side_edge(self.plus_count, e)
+
+    @staticmethod
+    def from_flat(plus_count: int, flat: LabeledGraph) -> "SignedBipartiteGraph":
+        """Inverse of as_unsigned(): the first plus_count vertices form the + side."""
+        return SignedBipartiteGraph(
+            plus_count,
+            flat.vertex_count - plus_count,
+            [_side_edge(plus_count, e) for e in flat.edges],
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -216,6 +244,13 @@ class SignedBipartiteGraph:
             f"SignedBipartiteGraph(m={self.plus_count}, n={self.minus_count}, "
             f"edges={sorted(self.edges)})"
         )
+
+
+def _side_edge(plus_count: int, e) -> tuple[int, int]:
+    a, b = _normalize_edge(e)
+    if not a < plus_count <= b:
+        raise ValueError(f"edge {(a, b)} does not cross the sides (+ side has {plus_count})")
+    return (a, b - plus_count)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +311,7 @@ def signed_star(leaves: int, center_plus: bool = True) -> SignedBipartiteGraph:
 
 
 # ---------------------------------------------------------------------------
-# graph6
+# Encodings: graph6 (unsigned) and sb (signed)
 # ---------------------------------------------------------------------------
 
 
@@ -332,6 +367,26 @@ def decode_graph6(text: str) -> LabeledGraph:
     return LabeledGraph(n, edges)
 
 
+def encode_sb(g: SignedBipartiteGraph) -> str:
+    """``sb:m:n:bits`` with bit p*n+q set iff (p, q) is an edge."""
+    m, n = g.plus_count, g.minus_count
+    bits = "".join("1" if (p, q) in g.edges else "0" for p in range(m) for q in range(n))
+    return f"sb:{m}:{n}:{bits}"
+
+
+def decode_sb(text: str) -> SignedBipartiteGraph:
+    try:
+        tag, m, n, bits = text.strip().split(":")
+        m, n = int(m), int(n)
+    except ValueError as exc:
+        raise ParseError(f"bad sb string {text!r}") from exc
+    if tag != "sb" or m < 0 or n < 0 or len(bits) != m * n or set(bits) - {"0", "1"}:
+        raise ParseError(f"bad sb string {text!r}")
+    return SignedBipartiteGraph(
+        m, n, [(p, q) for p in range(m) for q in range(n) if bits[p * n + q] == "1"]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Inline graph names (CLI and tests): c4, p3, k2,3, s3, or raw graph6
 # ---------------------------------------------------------------------------
@@ -344,14 +399,17 @@ def parse_graph(text: str) -> LabeledGraph:
     text = text.strip()
     m = _NAME_RE.match(text.lower())
     if m:
-        if m.group(3) is not None:
-            return complete_bipartite(int(m.group(3)), int(m.group(4)))
-        kind, k = m.group(1), int(m.group(2))
-        if kind == "c":
-            return cycle(k)
-        if kind == "p":
-            return path(k)
-        return star(k)
+        try:
+            if m.group(3) is not None:
+                return complete_bipartite(int(m.group(3)), int(m.group(4)))
+            kind, k = m.group(1), int(m.group(2))
+            if kind == "c":
+                return cycle(k)
+            if kind == "p":
+                return path(k)
+            return star(k)
+        except ValueError as exc:
+            raise ParseError(f"cannot build graph {text!r}: {exc}") from exc
     if text.startswith("{"):
         return LabeledGraph.from_json(text)
     return decode_graph6(text)
@@ -361,15 +419,18 @@ def parse_signed_graph(text: str) -> SignedBipartiteGraph:
     """Parse signed graphs: c{2k} (alternating cycle), k{a},{b}, s{k}+/s{k}-, or JSON."""
     text = text.strip()
     low = text.lower()
-    m = re.match(r"^s(\d+)([+-])$", low)
-    if m:
-        return signed_star(int(m.group(1)), center_plus=m.group(2) == "+")
-    m = re.match(r"^k(\d+),(\d+)$", low)
-    if m:
-        return signed_complete_bipartite(int(m.group(1)), int(m.group(2)))
-    m = re.match(r"^c(\d+)$", low)
-    if m:
-        return signed_cycle(int(m.group(1)))
+    try:
+        m = re.match(r"^s(\d+)([+-])$", low)
+        if m:
+            return signed_star(int(m.group(1)), center_plus=m.group(2) == "+")
+        m = re.match(r"^k(\d+),(\d+)$", low)
+        if m:
+            return signed_complete_bipartite(int(m.group(1)), int(m.group(2)))
+        m = re.match(r"^c(\d+)$", low)
+        if m:
+            return signed_cycle(int(m.group(1)))
+    except ValueError as exc:
+        raise ParseError(f"cannot build signed graph {text!r}: {exc}") from exc
     if text.startswith("{"):
         return SignedBipartiteGraph.from_json(text)
     raise ParseError(f"cannot parse signed graph {text!r}")

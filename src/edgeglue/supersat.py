@@ -12,11 +12,11 @@ embedding rejected once stays unrecruitable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .embed import Embedding, _backtrack, count_copies, enumerate_embeddings
+from .embed import Embedding, _backtrack, count_copies
 from .errors import EmptyCandidateSet, InvalidRootedPattern, PreconditionViolated
 from .gluing import GluingSpec, RootedPattern, _glue_oriented, signed_glue
 from .graphs import LabeledGraph, SignedBipartiteGraph, encode_graph6
@@ -187,7 +187,7 @@ def build_signed_balanced_family(
     f = h.check_edge(f)
     flat_h = h.as_unsigned()
     flat_g = g.as_unsigned()
-    flat_f = (f[0], h.plus_count + f[1])
+    flat_f = h.flat_edge(f)
     p = RootedPattern(flat_h, flat_f, frozenset([flat_f]), flat_f)
     fam = BalancedFamily(
         host=flat_g,
@@ -198,9 +198,7 @@ def build_signed_balanced_family(
         signed_host=g,
         signed_pattern=h,
     )
-    pc = [0] * h.plus_count + [1] * h.minus_count
-    hc = [0] * g.plus_count + [1] * g.minus_count
-    return _build(fam, c, _edge_order(flat_g, sampler), pc, hc)
+    return _build(fam, c, _edge_order(flat_g, sampler), h.colors, g.colors)
 
 
 @dataclass(frozen=True)
@@ -261,8 +259,7 @@ def remaining_recruitable(fam: BalancedFamily, c: FamilyConstraints) -> list[Emb
     in_family = {m.map for m in fam.members}
     pc = hc = None
     if fam.signed_host is not None:
-        pc = [0] * fam.signed_pattern.plus_count + [1] * fam.signed_pattern.minus_count
-        hc = [0] * fam.signed_host.plus_count + [1] * fam.signed_host.minus_count
+        pc, hc = fam.signed_pattern.colors, fam.signed_host.colors
     out = []
     for emb in _candidate_stream(
         fam.host,
@@ -343,38 +340,20 @@ def assemble_glued_copies(
 def _combine(g, families, chosen, shared, signed) -> GluedCopy:
     x, y = shared
     if signed:
-        parts = []
+        parts = tuple(
+            (fam.signed_pattern, fam.signed_pattern.side_edge(fam.pattern.distinguished_edge))
+            for fam in families
+        )
+        glued = signed_glue(GluingSpec(parts, mode="signed-unique"))
+        # glued layout, per side: the shared endpoint, then each part's other
+        # vertices in order.  x is the + endpoint: flat hosts put + first.
+        sides = ([x], [y])
         for fam, emb in zip(families, chosen):
-            h = fam.signed_pattern
-            fp, fq = (
-                fam.pattern.distinguished_edge[0],
-                fam.pattern.distinguished_edge[1] - h.plus_count,
-            )
-            parts.append((h, (fp, fq)))
-        glued = signed_glue(GluingSpec(tuple(parts), mode="signed-unique"))
-        # flattened glued layout: + shared first, then each part's other +
-        # vertices in order; same for the - side
-        plus_map = [0] * glued.plus_count
-        minus_map = [0] * glued.minus_count
-        host_m = families[0].signed_host.plus_count
-        # the + endpoint of the shared host edge (hosts are flattened)
-        plus_map[0] = x if x < host_m else y
-        minus_map[0] = (y if x < host_m else x) - host_m
-        pi, qi = 1, 1
-        for fam, emb in zip(families, chosen):
-            h = fam.signed_pattern
-            fp = fam.pattern.distinguished_edge[0]
-            fq = fam.pattern.distinguished_edge[1] - h.plus_count
-            for pv in range(h.plus_count):
-                if pv != fp:
-                    plus_map[pi] = emb.map[pv]
-                    pi += 1
-            for qv in range(h.minus_count):
-                if qv != fq:
-                    minus_map[qi] = emb.map[h.plus_count + qv] - host_m
-                    qi += 1
-        flat_map = tuple(plus_map) + tuple(host_m + q for q in minus_map)
-        return GluedCopy(tuple(chosen), glued, flat_map)
+            marked = fam.pattern.distinguished_edge
+            for v, side in enumerate(fam.signed_pattern.colors):
+                if v not in marked:
+                    sides[side].append(emb.map[v])
+        return GluedCopy(tuple(chosen), glued, tuple(sides[0] + sides[1]))
     parts = []
     orientations = []
     for fam, emb in zip(families, chosen):

@@ -1,6 +1,7 @@
 """Canonical labeling and automorphism counting, cross-checked against
 exhaustive-permutation oracles."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from edgeglue.canon import (
     decode_canonical,
     signed_automorphism_count,
 )
+from edgeglue.gluing import GluingSpec, signed_glue
 from edgeglue.graphs import (
     LabeledGraph,
     complete_bipartite,
@@ -19,6 +21,7 @@ from edgeglue.graphs import (
     path,
     signed_complete_bipartite,
     signed_cycle,
+    signed_star,
     star,
 )
 from math import factorial
@@ -81,6 +84,24 @@ class TestCanonicalForm:
         assert canonical_form(a) != canonical_form(b)
         back = decode_canonical(canonical_form(a))
         assert (back.plus_count, back.minus_count) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "g, cert",
+        [
+            (signed_cycle(4), "sb:2:2:1111"),
+            (
+                signed_glue(
+                    GluingSpec(((signed_cycle(4), (0, 0)), (signed_cycle(4), (0, 0))), "signed-unique")
+                ),
+                "sb:3:3:101011111",
+            ),
+            (signed_star(2), "sb:1:2:11"),
+            (signed_star(2, center_plus=False), "sb:2:1:11"),
+        ],
+    )
+    def test_pinned_signed_certificates(self, g, cert):
+        # store keys and bench/expected.json depend on these exact bytes
+        assert canonical_form(g).bytes.decode() == cert
 
     def test_signed_invariance_under_side_permutations(self):
         g = signed_cycle(6)

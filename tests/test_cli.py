@@ -63,10 +63,6 @@ class TestDispatch:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows[0]["ratio"] == "4/9" and rows[1]["ratio"] == "1/2"
 
-    def test_threads_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "--threads", "4", "ex", "--n", "4", "--forbid", "c4")
-        assert code == 0
-
 
 class TestExitCodes:
     def test_domain_error_is_exit_1_with_json_stderr(self, capsys):
@@ -83,6 +79,21 @@ class TestExitCodes:
     def test_usage_error_is_exit_2(self, capsys):
         assert run(capsys, "count", "--pattern", "c4")[0] == 2
         assert run(capsys, "no-such-command")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("verify", "--family", "MISSING"), "EdgeGlueError"),
+            (("glue", "--a", "c4", "--ea", "9", "--b", "c4", "--eb", "0"), "EdgeNotInGraph"),
+            (("construct", "--kind", "gnp", "--n", "5", "--seed", "1"), "EdgeGlueError"),
+            (("zex", "--m", "2", "--n", "2", "--pattern", "c3"), "ParseError"),
+        ],
+    )
+    def test_bad_input_is_exit_1_without_traceback(self, capsys, tmp_path, argv, error):
+        argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(err)["error"] == error
 
     def test_seed_is_required_for_randomized_commands(self, capsys):
         code, _, _ = run(capsys, "construct", "--kind", "gnp", "--n", "5", "--p", "1/2")

@@ -110,11 +110,36 @@ class TestExactZarankiewicz:
         b = exact_zarankiewicz(2, 4, signed_star(2, center_plus=False)).value
         assert a == 2 and b == 4
 
+    def test_sixty_four_vertex_host_witness(self):
+        # the old flattened graph6 witness could not hold 64 vertices
+        rec = exact_zarankiewicz(1, 63, signed_star(2))
+        assert rec.value == 1 and rec.witness.startswith("sb:1:63:")
+        w = rec.witness_graph()
+        assert (w.plus_count, w.minus_count, w.edge_count) == (1, 63, 1)
+        assert is_free(w, signed_star(2))
+
     def test_size_guards(self):
         with pytest.raises(SizeExceeded):
             exact_zarankiewicz(6, 5, signed_cycle(4), method="oracle")
         with pytest.raises(SizeExceeded):
             exact_zarankiewicz(9, 8, signed_cycle(4))
+
+
+# Literature values, independent of the copy-mask front end both engines share.
+A006855_EX_C4 = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9}
+A001197_Z_C4 = {1: 1, 2: 3, 3: 6, 4: 9}
+
+
+class TestLiteratureOracle:
+    @pytest.mark.parametrize("method", ["oracle", "branch-and-bound"])
+    @pytest.mark.parametrize("n", sorted(A006855_EX_C4))
+    def test_ex_c4_matches_oeis_a006855(self, n, method):
+        assert exact_turan(n, [cycle(4)], method=method).value == A006855_EX_C4[n]
+
+    @pytest.mark.parametrize("method", ["oracle", "branch-and-bound"])
+    @pytest.mark.parametrize("n", sorted(A001197_Z_C4))
+    def test_z_signed_c4_matches_oeis_a001197(self, n, method):
+        assert exact_zarankiewicz(n, n, signed_cycle(4), method=method).value == A001197_Z_C4[n]
 
 
 class TestRatioReport:
@@ -185,6 +210,22 @@ class TestRecordStore:
         path_.write_text("this is not json\n")
         with pytest.raises(CorruptStore):
             load_records(path_)
+
+    def test_store_line_with_graph6_z_witness_still_hits(self, tmp_path):
+        # a line as stores held it before z witnesses switched to sb:
+        path_ = tmp_path / "records.jsonl"
+        path_.write_text(
+            '{"crc32":3799170446,"record":{"forbidden":["sb:2:2:1111"],"kind":"zarankiewicz",'
+            '"method":"branch-and-bound","runtime_ms":1,"seed":null,"size":[3,3],'
+            '"timestamp":"2026-01-01T00:00:00+00:00","value":6,"witness":"EEh_"}}\n'
+        )
+        assert len(load_records(path_)) == 1
+        hit = lookup(path_, "zarankiewicz", ["sb:2:2:1111"], (3, 3))
+        assert hit is not None and hit.value == 6
+        w = hit.witness_graph()
+        assert (w.plus_count, w.minus_count) == (3, 3)
+        assert w == exact_zarankiewicz(3, 3, signed_cycle(4)).witness_graph()
+        hit.validate()
 
     def test_empty_store(self, tmp_path):
         assert load_records(tmp_path / "missing.jsonl") == []

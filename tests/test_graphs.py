@@ -11,8 +11,10 @@ from edgeglue.graphs import (
     complete_bipartite,
     cycle,
     decode_graph6,
+    decode_sb,
     empty_graph,
     encode_graph6,
+    encode_sb,
     parse_graph,
     parse_signed_graph,
     path,
@@ -91,6 +93,28 @@ class TestSignedBipartiteGraph:
     def test_json_round_trip(self):
         g = signed_complete_bipartite(2, 3)
         assert SignedBipartiteGraph.from_json(g.to_json()) == g
+
+    def test_flat_layout_round_trip(self):
+        g = SignedBipartiteGraph(2, 3, [(0, 0), (1, 2)])
+        assert g.colors == (0, 0, 1, 1, 1)
+        assert g.as_unsigned().edges == {(0, 2), (1, 4)}
+        assert SignedBipartiteGraph.from_flat(2, g.as_unsigned()) == g
+        assert g.side_edge(g.flat_edge((1, 2))) == (1, 2)
+
+    def test_from_flat_rejects_non_crossing_edge(self):
+        with pytest.raises(ValueError):
+            SignedBipartiteGraph.from_flat(2, LabeledGraph(4, [(0, 1)]))
+        with pytest.raises(ValueError):
+            SignedBipartiteGraph.from_flat(2, LabeledGraph(4, [(2, 3)]))
+
+    def test_sb_round_trip_and_malformed_input(self):
+        g = SignedBipartiteGraph(2, 3, [(0, 0), (1, 2)])
+        assert encode_sb(g) == "sb:2:3:100001"
+        assert decode_sb(encode_sb(g)) == g
+        assert decode_sb("sb:0:4:") == SignedBipartiteGraph(0, 4)
+        for bad in ("sb:2:3:10000", "sb:2:3:10000x", "sb:2:three:100001", "g6:2:3:100001", "sb:2"):
+            with pytest.raises(ParseError):
+                decode_sb(bad)
 
 
 class TestGraph6:
