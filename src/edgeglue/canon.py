@@ -1,10 +1,24 @@
-"""Canonical labeling and automorphism counting.
+"""Canonical labeling and automorphism counting from one search tree.
 
-Canonicalization uses colour refinement plus individualization/backtracking:
-refine to an equitable partition, then individualize each vertex of the
-first non-singleton cell and take the minimum certificate over the branches.
-For graphs with at most 8 vertices an exhaustive-permutation fallback is
-available as an independent oracle (used by the tests).
+Each node of the tree refines its colouring to an equitable partition
+(colour refinement) and then individualizes, one branch at a time, each
+vertex of the first non-singleton cell.  A node whose partition is discrete,
+or colour-complete (adjacency constant inside and between cells), is a leaf;
+its certificate is the adjacency of the graph relabeled in cell order, and
+the canonical form is the leaf with the least certificate.
+
+Two leaves with equal certificates give an automorphism.  The search prunes
+with them (McKay & Piperno, "Practical graph isomorphism, II", 2014): a child
+in the orbit of an already tried sibling, under the automorphisms found so
+far that fix the node's individualized vertices, roots the image of a
+subtree already explored, so the set of leaf certificates is unchanged.  A
+subtree that reaches a leaf equal to the first leaf is abandoned at once.
+The same tree gives |Aut| by the orbit-stabilizer theorem: the product, over
+the nodes of the first path, of the orbit of the child taken there, times
+the product of |cell|! at the first leaf.
+
+For graphs with at most 8 vertices exhaustive-permutation versions are
+available as independent oracles (used by the tests).
 
 The certificate of an unsigned graph is the graph6 string of the
 canonically relabeled graph, so certificates double as decodable graph
@@ -22,6 +36,7 @@ from .errors import SizeExceeded
 from .graphs import (
     LabeledGraph,
     SignedBipartiteGraph,
+    component_roots,
     decode_graph6,
     decode_sb,
     encode_graph6,
@@ -29,7 +44,6 @@ from .graphs import (
 )
 
 MAX_CANONICAL_VERTICES = 32
-MAX_AUTOMORPHISM_VERTICES = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -76,117 +90,13 @@ def _cells(colors: list[int]) -> list[list[int]]:
 
 def _certificate_for_order(adj: tuple[int, ...], order: list[int]) -> tuple:
     """Adjacency bits of the graph relabeled so order[i] becomes i."""
-    n = len(order)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
     bits = []
-    for j in range(1, n):
+    for j in range(1, len(order)):
         vj = order[j]
         row = adj[vj]
         for i in range(j):
             bits.append(row >> order[i] & 1)
     return tuple(bits)
-
-
-def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
-    """True when swapping u and v alone is an automorphism."""
-    mask = ~((1 << u) | (1 << v))
-    return adj[u] & mask == adj[v] & mask
-
-
-def _canonical_search(adj: tuple[int, ...], colors: list[int]):
-    """Return (bits, order) minimizing the certificate over the search tree."""
-    colors = _refine(adj, colors)
-    cells = _cells(colors)
-    target = None
-    for cell in cells:
-        if len(cell) > 1:
-            target = cell
-            break
-    if target is None:
-        order = [v for cell in cells for v in cell]
-        return _certificate_for_order(adj, order), order
-    if _is_color_complete(adj, cells):
-        # adjacency is constant between (and inside) colour classes, so every
-        # cell-consistent order produces the same certificate
-        order = [v for cell in cells for v in cell]
-        return _certificate_for_order(adj, order), order
-    best = None
-    best_order = None
-    tried: list[int] = []
-    for v in target:
-        # branches on pairwise-interchangeable vertices yield identical
-        # certificate sets; one representative per twin class suffices
-        if any(_twins(adj, v, w) for w in tried):
-            continue
-        tried.append(v)
-        branch = list(colors)
-        # individualize v: give it a colour just below its cell
-        for u in range(len(branch)):
-            branch[u] = branch[u] * 2
-        branch[v] -= 1
-        bits, order = _canonical_search(adj, branch)
-        if best is None or bits < best:
-            best, best_order = bits, order
-    return best, best_order
-
-
-def _initial_colors(g: LabeledGraph, colors=None) -> list[int]:
-    if colors is None:
-        return [0] * g.vertex_count
-    return list(colors)
-
-
-def canonical_form(g: LabeledGraph | SignedBipartiteGraph) -> CanonicalLabel:
-    """Isomorphism-invariant certificate; sign-respecting in the signed case."""
-    if isinstance(g, SignedBipartiteGraph):
-        return _canonical_form_signed(g)
-    if g.vertex_count > MAX_CANONICAL_VERTICES:
-        raise SizeExceeded(
-            f"canonical_form supports at most {MAX_CANONICAL_VERTICES} vertices"
-        )
-    if g.vertex_count == 0:
-        return CanonicalLabel(b"g6:?")
-    _, order = _canonical_search(g.adjacency, _initial_colors(g))
-    pos = [0] * g.vertex_count
-    for i, v in enumerate(order):
-        pos[v] = i
-    return CanonicalLabel(b"g6:" + encode_graph6(g.relabel(pos)).encode())
-
-
-def _canonical_form_signed(g: SignedBipartiteGraph) -> CanonicalLabel:
-    if g.vertex_count > MAX_CANONICAL_VERTICES:
-        raise SizeExceeded(
-            f"canonical_form supports at most {MAX_CANONICAL_VERTICES} vertices"
-        )
-    flat = g.as_unsigned()
-    if g.vertex_count == 0:
-        order = []
-    else:
-        # + and - are colours that may not be exchanged
-        _, order = _canonical_search(flat.adjacency, list(g.colors))
-    pos = [0] * g.vertex_count
-    for i, v in enumerate(order):
-        pos[v] = i
-    # colour classes stay contiguous, + first, because refinement only splits
-    relabeled = SignedBipartiteGraph.from_flat(g.plus_count, flat.relabel(pos))
-    return CanonicalLabel(encode_sb(relabeled).encode())
-
-
-def decode_canonical(label: CanonicalLabel) -> LabeledGraph | SignedBipartiteGraph:
-    """Certificates are decodable: recover the canonical representative."""
-    raw = label.bytes
-    if raw.startswith(b"g6:"):
-        return decode_graph6(raw[3:].decode())
-    if raw.startswith(b"sb:"):
-        return decode_sb(raw.decode())
-    raise ValueError("unknown certificate format")
-
-
-# ---------------------------------------------------------------------------
-# Automorphisms
-# ---------------------------------------------------------------------------
 
 
 def _is_color_complete(adj, cells) -> bool:
@@ -204,63 +114,110 @@ def _is_color_complete(adj, cells) -> bool:
     return True
 
 
-def _count_color_preserving_maps(adj, colors) -> int:
-    """Backtracking count of colour- and adjacency-preserving permutations."""
+def _search(adj: tuple[int, ...], colors) -> tuple[list[int], int]:
+    """Order of the least-certificate leaf, and |Aut| of the coloured graph.
+
+    The tree, its pruning and the count are described in the module docstring.
+    """
     n = len(adj)
-    candidates = [
-        [u for u in range(n) if colors[u] == colors[v]] for v in range(n)
-    ]
-    count = 0
-    image = [-1] * n
-    used = 0
+    gens: list[list[int]] = []
+    first = best = None  # (certificate, order)
+    aut = 1
 
-    def place(v):
-        nonlocal count, used
-        if v == n:
-            count += 1
-            return
-        av = adj[v]
-        for u in candidates[v]:
-            if used >> u & 1:
+    def orbits(path: list[int]) -> list[int]:
+        """Orbit representatives under the found automorphisms that fix path."""
+        fixing = [g for g in gens if all(g[u] == u for u in path)]
+        return component_roots(n, [(u, g[u]) for g in fixing for u in range(n)])
+
+    def visit(colors: list[int], path: list[int]) -> bool:
+        """Explore one subtree; True means a leaf equal to the first was found."""
+        nonlocal first, best, aut
+        on_first_path = first is None
+        colors = _refine(adj, colors)
+        cells = _cells(colors)
+        target = next((cell for cell in cells if len(cell) > 1), None)
+        if target is None or _is_color_complete(adj, cells):
+            # adjacency is constant between (and inside) colour classes, so every
+            # cell-consistent order produces the same certificate, and every
+            # permutation inside the cells fixes the path
+            order = [v for cell in cells for v in cell]
+            cert = _certificate_for_order(adj, order)
+            if on_first_path:
+                first = best = (cert, order)
+                for cell in cells:
+                    aut *= factorial(len(cell))
+                return False
+            for ref_cert, ref_order in (first, best):
+                if cert == ref_cert:
+                    gamma = [0] * n
+                    for u, v in zip(ref_order, order):
+                        gamma[u] = v
+                    gens.append(gamma)
+                    return cert == first[0]
+            if cert < best[0]:
+                best = (cert, order)
+            return False
+        tried: list[int] = []
+        for v in target:
+            roots = orbits(path)
+            if any(roots[v] == roots[w] for w in tried):
                 continue
-            ok = True
-            for w in range(v):
-                if (av >> w & 1) != (adj[u] >> image[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used |= 1 << u
-                place(v + 1)
-                used ^= 1 << u
-        image[v] = -1
+            tried.append(v)
+            # individualize v: give it a colour just below its cell
+            branch = [c * 2 for c in colors]
+            branch[v] -= 1
+            if visit(branch, path + [v]) and not on_first_path:
+                return True
+        if on_first_path:
+            roots = orbits(path)
+            aut *= roots.count(roots[target[0]])
+        return False
 
-    place(0)
-    return count
+    visit(list(colors), [])
+    return best[1], aut
 
 
-def automorphism_count(h: LabeledGraph, signed_colors=None) -> int:
-    """|Aut(h)|; with signed_colors, only colour-preserving automorphisms."""
-    n = h.vertex_count
-    if n > MAX_AUTOMORPHISM_VERTICES:
-        raise SizeExceeded(
-            f"automorphism_count supports at most {MAX_AUTOMORPHISM_VERTICES} vertices"
-        )
-    if n == 0:
-        return 1
-    colors = _refine(h.adjacency, _initial_colors(h, signed_colors))
-    cells = _cells(colors)
-    if _is_color_complete(h.adjacency, cells):
-        out = 1
-        for cell in cells:
-            out *= factorial(len(cell))
-        return out
-    return _count_color_preserving_maps(h.adjacency, colors)
+def _check_size(g) -> None:
+    if g.vertex_count > MAX_CANONICAL_VERTICES:
+        raise SizeExceeded(f"canonical search supports at most {MAX_CANONICAL_VERTICES} vertices")
+
+
+def canonical_form(g: LabeledGraph | SignedBipartiteGraph) -> CanonicalLabel:
+    """Isomorphism-invariant certificate; sign-respecting in the signed case."""
+    _check_size(g)
+    if isinstance(g, SignedBipartiteGraph):
+        flat = g.as_unsigned()
+        # + and - are colours that may not be exchanged
+        order, _ = _search(flat.adjacency, g.colors)
+        # colour classes stay contiguous, + first, because refinement only splits
+        relabeled = flat.relabel({v: i for i, v in enumerate(order)})
+        signed = SignedBipartiteGraph.from_flat(g.plus_count, relabeled)
+        return CanonicalLabel(encode_sb(signed).encode())
+    order, _ = _search(g.adjacency, [0] * g.vertex_count)
+    relabeled = g.relabel({v: i for i, v in enumerate(order)})
+    return CanonicalLabel(b"g6:" + encode_graph6(relabeled).encode())
+
+
+def decode_canonical(label: CanonicalLabel) -> LabeledGraph | SignedBipartiteGraph:
+    """Certificates are decodable: recover the canonical representative."""
+    raw = label.bytes
+    if raw.startswith(b"g6:"):
+        return decode_graph6(raw[3:].decode())
+    if raw.startswith(b"sb:"):
+        return decode_sb(raw.decode())
+    raise ValueError("unknown certificate format")
+
+
+def automorphism_count(h: LabeledGraph) -> int:
+    """|Aut(h)|."""
+    _check_size(h)
+    return _search(h.adjacency, [0] * h.vertex_count)[1]
 
 
 def signed_automorphism_count(h: SignedBipartiteGraph) -> int:
     """Automorphisms fixing the + and - sides setwise."""
-    return automorphism_count(h.as_unsigned(), signed_colors=h.colors)
+    _check_size(h)
+    return _search(h.as_unsigned().adjacency, h.colors)[1]
 
 
 def automorphism_count_bruteforce(h: LabeledGraph) -> int:

@@ -38,6 +38,31 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _natural(text: str) -> int:
+    """argparse type: a nonnegative integer (a size, an index, a cap or a seed)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _naturals(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated nonnegative integers."""
+    return tuple(_natural(t) for t in text.split(","))
+
+
+def _pairs(text: str) -> frozenset[tuple[int, ...]]:
+    """argparse type: comma-separated a-b vertex pairs."""
+    return frozenset(tuple(_natural(x) for x in pair.split("-")) for pair in text.split(","))
+
+
+def _probability(text: str) -> Fraction:
+    p = _frac(text)
+    if not 0 <= p <= 1:
+        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
+    return p
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -130,8 +155,7 @@ def cmd_zex(args) -> int:
 
 def cmd_ratio(args) -> int:
     h = parse_graph(args.pattern)
-    sizes = [int(t) for t in args.sizes.split(",")]
-    rows = extremal.ratio_report(h, sizes, method=args.method)
+    rows = extremal.ratio_report(h, args.sizes, method=args.method)
     for row in rows:
         _emit(
             {
@@ -149,13 +173,8 @@ def _rooted_from_args(args) -> gluing.RootedPattern:
     h = parse_graph(args.pattern)
     if args.root_edge is not None:
         return gluing.edge_rooted(h, _edge_at(h, args.root_edge))
-    roots = tuple(int(t) for t in args.root_vertices.split(","))
-    redges = frozenset(
-        tuple(int(x) for x in pair.split("-"))
-        for pair in (args.root_edges.split(",") if args.root_edges else [])
-    )
     dist = _edge_at(h, args.marked_edge) if args.marked_edge is not None else None
-    return gluing.RootedPattern(h, roots, redges, dist)
+    return gluing.RootedPattern(h, args.root_vertices, args.root_edges or frozenset(), dist)
 
 
 def cmd_exponent(args) -> int:
@@ -239,17 +258,20 @@ def cmd_verify(args) -> int:
         raise EdgeGlueError(f"cannot read family file: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"family file is not JSON: {exc}") from exc
-    host = decode_graph6(payload["host"])
-    pattern = decode_graph6(payload["pattern"])
-    p = gluing.RootedPattern(
-        pattern,
-        tuple(payload["roots"]),
-        frozenset(tuple(e) for e in payload["root_edges"]),
-        tuple(payload["distinguished_edge"]),
-    )
     from .embed import Embedding
 
-    members = [Embedding(pattern, host, tuple(m)) for m in payload["members"]]
+    try:
+        host = decode_graph6(payload["host"])
+        pattern = decode_graph6(payload["pattern"])
+        p = gluing.RootedPattern(
+            pattern,
+            tuple(payload["roots"]),
+            frozenset(tuple(e) for e in payload["root_edges"]),
+            tuple(payload["distinguished_edge"]),
+        )
+        members = [Embedding(pattern, host, tuple(m)) for m in payload["members"]]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"family file lacks a field or has the wrong shape: {exc!r}") from exc
     fam = supersat.BalancedFamily(
         host=host, pattern=p, members=members, edge_degrees={}, pair_degrees={}
     )
@@ -283,11 +305,13 @@ def cmd_cache(args) -> int:
 
 def _add_rooted_flags(sp):
     sp.add_argument("--pattern", required=True, help="pattern graph (name or graph6)")
-    sp.add_argument("--root-edge", type=int, default=None,
-                    help="index into the sorted edge list; F = that single edge")
-    sp.add_argument("--root-vertices", default=None, help="comma-separated root vertices")
-    sp.add_argument("--root-edges", default=None, help="comma-separated a-b pairs")
-    sp.add_argument("--marked-edge", type=int, default=None,
+    roots = sp.add_mutually_exclusive_group(required=True)
+    roots.add_argument("--root-edge", type=_natural, default=None,
+                       help="index into the sorted edge list; F = that single edge")
+    roots.add_argument("--root-vertices", type=_naturals, default=None,
+                       help="comma-separated root vertices")
+    sp.add_argument("--root-edges", type=_pairs, default=None, help="comma-separated a-b pairs")
+    sp.add_argument("--marked-edge", type=_natural, default=None,
                     help="distinguished edge index (defaults to the root edge)")
 
 
@@ -297,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("glue", help="glue two graphs along marked edges")
     sp.add_argument("--a", required=True)
-    sp.add_argument("--ea", type=int, required=True, help="edge index in a's sorted edge list")
+    sp.add_argument("--ea", type=_natural, required=True,
+                    help="edge index in a's sorted edge list")
     sp.add_argument("--b", required=True)
-    sp.add_argument("--eb", type=int, required=True)
+    sp.add_argument("--eb", type=_natural, required=True)
     sp.set_defaults(func=cmd_glue)
 
     sp = sub.add_parser("count", help="embedding and copy counts")
@@ -309,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("ex", help="exact Turán number")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_natural, required=True)
     sp.add_argument("--forbid", action="append", required=True)
     sp.add_argument("--method", choices=["oracle", "branch-and-bound"],
                     default="branch-and-bound")
@@ -317,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ex)
 
     sp = sub.add_parser("zex", help="exact Zarankiewicz number")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--m", type=_natural, required=True)
+    sp.add_argument("--n", type=_natural, required=True)
     sp.add_argument("--pattern", required=True, help="signed pattern (c4, k2,3, s2+, ...)")
     sp.add_argument("--method", choices=["oracle", "branch-and-bound"],
                     default="branch-and-bound")
@@ -327,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ratio", help="ex(n,H) vs z(n,n,H) table")
     sp.add_argument("--pattern", required=True)
-    sp.add_argument("--sizes", required=True, help="comma-separated n values")
+    sp.add_argument("--sizes", type=_naturals, required=True, help="comma-separated n values")
     sp.add_argument("--method", choices=["oracle", "branch-and-bound"],
                     default="branch-and-bound")
     sp.set_defaults(func=cmd_ratio)
@@ -347,27 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct", help="seeded random constructions")
     sp.add_argument("--kind", choices=["gnp", "deletion", "sign-split"], required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=_frac, default=None)
+    sp.add_argument("--n", type=_natural, default=None)
+    sp.add_argument("--p", type=_probability, default=None)
     sp.add_argument("--forbid", default=None)
     sp.add_argument("--host", default=None)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_natural, required=True)
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("supersat", help="greedy balanced-family builder")
     sp.add_argument("--host", required=True)
     _add_rooted_flags(sp)
-    sp.add_argument("--per-edge-cap", type=int, default=None)
-    sp.add_argument("--per-pair-cap", type=int, default=None)
-    sp.add_argument("--target-size", type=int, default=None)
+    sp.add_argument("--per-edge-cap", type=_natural, default=None)
+    sp.add_argument("--per-pair-cap", type=_natural, default=None)
+    sp.add_argument("--target-size", type=_natural, default=None)
     sp.add_argument("--shuffle", action="store_true", help="seeded shuffle of the edge order")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_natural, required=True)
     sp.set_defaults(func=cmd_supersat)
 
     sp = sub.add_parser("verify", help="re-check a serialized family against caps")
     sp.add_argument("--family", required=True, help="path to a family JSON file")
-    sp.add_argument("--per-edge-cap", type=int, default=None)
-    sp.add_argument("--per-pair-cap", type=int, default=None)
+    sp.add_argument("--per-edge-cap", type=_natural, default=None)
+    sp.add_argument("--per-pair-cap", type=_natural, default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("cache", help="list stored extremal records")

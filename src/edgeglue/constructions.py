@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .embed import enumerate_embeddings
-from .errors import PartSizeMismatch, TooFewEdges
+from .errors import PartSizeMismatch, PreconditionViolated, TooFewEdges
 from .graphs import LabeledGraph, SignedBipartiteGraph
 
 PRNG_FAMILY = "pcg64"
@@ -57,6 +57,8 @@ def deletion_probability(n: int, f: LabeledGraph) -> float:
     """p = (1/4) n^{-(v(F)-2)/(e(F)-1)} used by the deletion construction."""
     if f.edge_count < 2:
         raise TooFewEdges("deletion construction needs a pattern with >= 2 edges")
+    if n < 1:
+        raise PreconditionViolated("deletion construction needs n >= 1")
     expo = Fraction(f.vertex_count - 2, f.edge_count - 1)
     return 0.25 * n ** (-float(expo))
 
@@ -102,18 +104,11 @@ def random_sign_split(g: LabeledGraph, sampler: SeededSampler) -> SignedBipartit
     v = g.vertex_count
     k = (v + 1) // 2
     rng = sampler.rng()
-    plus = sorted(rng.permutation(v)[:k].tolist())
-    plus_set = set(plus)
-    minus = [u for u in range(v) if u not in plus_set]
-    pidx = {u: i for i, u in enumerate(plus)}
-    qidx = {u: i for i, u in enumerate(minus)}
-    edges = []
-    for a, b in g.edges:
-        if a in plus_set and b not in plus_set:
-            edges.append((pidx[a], qidx[b]))
-        elif b in plus_set and a not in plus_set:
-            edges.append((pidx[b], qidx[a]))
-    return SignedBipartiteGraph(k, v - k, edges)
+    plus = set(rng.permutation(v)[:k].tolist())
+    crossing = [(a, b) for a, b in g.edges if (a in plus) != (b in plus)]
+    order = sorted(plus) + [u for u in range(v) if u not in plus]
+    flat = LabeledGraph(v, crossing).relabel({u: i for i, u in enumerate(order)})
+    return SignedBipartiteGraph.from_flat(k, flat)
 
 
 def disjoint_blowup(

@@ -18,7 +18,8 @@ from .errors import InvalidPartialMap, InvariantViolation, SizeExceeded
 from .graphs import LabeledGraph, SignedBipartiteGraph
 
 MAX_PATTERN_VERTICES = 12
-MAX_HOST_VERTICES = 64
+# the flattened host of z(1, 64): m + n peaks at 65 inside the m*n <= 64 cap
+MAX_HOST_VERTICES = 65
 
 
 @dataclass(frozen=True)

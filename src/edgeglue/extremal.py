@@ -352,19 +352,13 @@ def sign_graph(g: LabeledGraph, plus_side=None) -> SignedBipartiteGraph:
             raise InfeasibleInput("graph is not bipartite")
         plus, minus = parts
     else:
-        plus = sorted(plus_side)
+        plus = sorted({g.check_vertex(v) for v in plus_side})
         minus = [v for v in range(g.vertex_count) if v not in set(plus)]
-    pidx = {v: i for i, v in enumerate(plus)}
-    qidx = {v: i for i, v in enumerate(minus)}
-    edges = []
-    for a, b in g.edges:
-        if a in pidx and b in qidx:
-            edges.append((pidx[a], qidx[b]))
-        elif b in pidx and a in qidx:
-            edges.append((pidx[b], qidx[a]))
-        else:
-            raise InfeasibleInput("declared + side is not one side of a bipartition")
-    return SignedBipartiteGraph(len(plus), len(minus), edges)
+    flat = g.relabel({v: i for i, v in enumerate(plus + minus)})
+    try:
+        return SignedBipartiteGraph.from_flat(len(plus), flat)
+    except ValueError as exc:
+        raise InfeasibleInput("declared + side is not one side of a bipartition") from exc
 
 
 def ratio_report(h: LabeledGraph, sizes, signed_h: Optional[SignedBipartiteGraph] = None,

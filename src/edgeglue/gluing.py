@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     SignMismatch,
 )
-from .graphs import LabeledGraph, SignedBipartiteGraph, encode_graph6, parse_graph
+from .graphs import LabeledGraph, SignedBipartiteGraph, component_roots, encode_graph6, parse_graph
 
 
 @dataclass(frozen=True)
@@ -288,36 +288,30 @@ def tree_of_cycles(t: LabeledGraph, cycles: dict, attach: dict) -> LabeledGraph:
     for v in range(t.vertex_count):
         offsets[v] = total
         total += cycles[v]
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def gid(v, pos):
         if not 0 <= pos < cycles[v]:
             raise InvalidAttachIndex(f"position {pos} invalid on cycle of length {cycles[v]}")
         return offsets[v] + pos
 
+    glued = []
     for (u, v) in t.sorted_edges:
         try:
             pu = attach[((u, v), u)]
             pv = attach[((u, v), v)]
         except KeyError as exc:
             raise InvalidAttachIndex(f"missing attach position for tree edge {(u, v)}") from exc
-        parent[find(gid(u, pu))] = find(gid(v, pv))
-    rep = sorted({find(x) for x in range(total)})
-    newid = {r: i for i, r in enumerate(rep)}
+        glued.append((gid(u, pu), gid(v, pv)))
+    roots = component_roots(total, glued)
+    newid = {r: i for i, r in enumerate(sorted(set(roots)))}
     edges = set()
     for v in range(t.vertex_count):
         k = cycles[v]
         for i in range(k):
-            a = newid[find(gid(v, i))]
-            b = newid[find(gid(v, (i + 1) % k))]
+            a = newid[roots[gid(v, i)]]
+            b = newid[roots[gid(v, (i + 1) % k)]]
             edges.add((min(a, b), max(a, b)))
-    result = LabeledGraph(len(rep), edges)
+    result = LabeledGraph(len(newid), edges)
     expected_v = sum(cycles.values()) - (t.vertex_count - 1)
     expected_e = sum(cycles.values())
     if result.vertex_count != expected_v or result.edge_count != expected_e:

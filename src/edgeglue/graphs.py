@@ -110,20 +110,8 @@ class LabeledGraph:
         return seen.bit_count() == self.vertex_count
 
     def is_forest(self) -> bool:
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
+        components = len(set(component_roots(self.vertex_count, self.edges)))
+        return components == self.vertex_count - self.edge_count
 
     def is_tree(self) -> bool:
         return self.is_connected() and self.edge_count == self.vertex_count - 1
@@ -244,6 +232,21 @@ class SignedBipartiteGraph:
             f"SignedBipartiteGraph(m={self.plus_count}, n={self.minus_count}, "
             f"edges={sorted(self.edges)})"
         )
+
+
+def component_roots(n: int, pairs) -> list[int]:
+    """Union-find on 0..n-1: one root per vertex, equal iff the pairs connect them."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(n)]
 
 
 def _side_edge(plus_count: int, e) -> tuple[int, int]:

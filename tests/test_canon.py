@@ -1,6 +1,8 @@
 """Canonical labeling and automorphism counting, cross-checked against
 exhaustive-permutation oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,16 @@ from edgeglue.canon import (
     decode_canonical,
     signed_automorphism_count,
 )
+from edgeglue.embed import count_embeddings
+from edgeglue.errors import SizeExceeded
 from edgeglue.gluing import GluingSpec, signed_glue
 from edgeglue.graphs import (
     LabeledGraph,
+    SignedBipartiteGraph,
+    complete,
     complete_bipartite,
     cycle,
+    empty_graph,
     path,
     signed_complete_bipartite,
     signed_cycle,
@@ -33,6 +40,54 @@ def graphs(draw, max_n=10):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return LabeledGraph(n, edges)
+
+
+@st.composite
+def signed_graphs(draw, max_side=4):
+    m = draw(st.integers(min_value=0, max_value=max_side))
+    n = draw(st.integers(min_value=0, max_value=max_side))
+    cells = [(p, q) for p in range(m) for q in range(n)]
+    edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return SignedBipartiteGraph(m, n, edges)
+
+
+def hypercube(d):
+    """d-cube: bit strings of length d, adjacent when they differ in one bit."""
+    edges = [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1]
+    return LabeledGraph(1 << d, edges)
+
+
+def rook(k):
+    """k x k rook's graph: cells (r, c), adjacent when they share a row or a column."""
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    return LabeledGraph(
+        k * k,
+        [
+            (i, j)
+            for i in range(k * k)
+            for j in range(i + 1, k * k)
+            if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]
+        ],
+    )
+
+
+def shrikhande():
+    """Cayley graph on Z4 x Z4 with connections +-(1,0), +-(0,1), +-(1,1).
+
+    Strongly regular with the parameters of the 4 x 4 rook's graph, so colour
+    refinement alone cannot tell the two apart.
+    """
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    return LabeledGraph(
+        16,
+        [
+            (i, j)
+            for i in range(16)
+            for j in range(i + 1, 16)
+            if ((cells[j][0] - cells[i][0]) % 4, (cells[j][1] - cells[i][1]) % 4) in steps
+        ],
+    )
 
 
 class TestCanonicalForm:
@@ -103,6 +158,17 @@ class TestCanonicalForm:
         # store keys and bench/expected.json depend on these exact bytes
         assert canonical_form(g).bytes.decode() == cert
 
+    @pytest.mark.parametrize(
+        "g", [hypercube(5), rook(5), shrikhande()], ids=["Q5", "rook5x5", "shrikhande"]
+    )
+    def test_symmetric_graphs_invariant_under_relabeling(self, g):
+        perm = list(range(g.vertex_count))
+        random.Random(5).shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == canonical_form(g)
+
+    def test_separates_graphs_that_refinement_cannot(self):
+        assert canonical_form(shrikhande()) != canonical_form(rook(4))
+
     def test_signed_invariance_under_side_permutations(self):
         g = signed_cycle(6)
         shuffled = type(g)(3, 3, [((p + 1) % 3, (q + 2) % 3) for p, q in g.edges])
@@ -132,3 +198,32 @@ class TestAutomorphisms:
     def test_signed_count_halves_c4(self):
         # only the 4 of C4's 8 automorphisms that fix the sides survive
         assert signed_automorphism_count(signed_cycle(4)) == 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(signed_graphs())
+    def test_signed_count_equals_self_embeddings(self, h):
+        # side-preserving injective maps of h into itself are its automorphisms
+        assert signed_automorphism_count(h) == count_embeddings(h, h)
+
+    @pytest.mark.parametrize(
+        "g, order",
+        [
+            (complete_bipartite(8, 8), 2 * factorial(8) ** 2),
+            (hypercube(5), 2**5 * factorial(5)),
+            (rook(5), 2 * factorial(5) ** 2),
+            (complete(32), factorial(32)),
+            (shrikhande(), 192),
+        ],
+        ids=["K8,8", "Q5", "rook5x5", "K32", "shrikhande"],
+    )
+    def test_known_groups_beyond_the_bruteforce_oracle(self, g, order):
+        assert automorphism_count(g) == order
+
+    def test_32_vertex_cap_is_shared(self):
+        g = empty_graph(33)
+        with pytest.raises(SizeExceeded):
+            canonical_form(g)
+        with pytest.raises(SizeExceeded):
+            automorphism_count(g)
+        with pytest.raises(SizeExceeded):
+            signed_automorphism_count(SignedBipartiteGraph(17, 16))

@@ -87,13 +87,43 @@ class TestExitCodes:
             (("glue", "--a", "c4", "--ea", "9", "--b", "c4", "--eb", "0"), "EdgeNotInGraph"),
             (("construct", "--kind", "gnp", "--n", "5", "--seed", "1"), "EdgeGlueError"),
             (("zex", "--m", "2", "--n", "2", "--pattern", "c3"), "ParseError"),
+            (("verify", "--family", "NOHOST"), "ParseError"),
+            (("verify", "--family", "LIST"), "ParseError"),
+            (("construct", "--kind", "deletion", "--n", "0", "--forbid", "c4", "--seed", "0"),
+             "PreconditionViolated"),
         ],
     )
     def test_bad_input_is_exit_1_without_traceback(self, capsys, tmp_path, argv, error):
-        argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+        (tmp_path / "nohost.json").write_text(json.dumps({"pattern": "Cr"}))
+        (tmp_path / "list.json").write_text("[1, 2]")
+        files = {"MISSING": "missing.json", "NOHOST": "nohost.json", "LIST": "list.json"}
+        argv = [str(tmp_path / files[a]) if a in files else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ex", "--n", "-1", "--forbid", "c4"),
+            ("zex", "--m", "-1", "--n", "2", "--pattern", "c4"),
+            ("construct", "--kind", "gnp", "--n", "-3", "--p", "1/2", "--seed", "0"),
+            ("construct", "--kind", "gnp", "--n", "3", "--p", "3/2", "--seed", "0"),
+            ("construct", "--kind", "gnp", "--n", "3", "--p", "1/2", "--seed", "-1"),
+            ("ratio", "--sizes", "a", "--pattern", "c4"),
+            ("exponent", "--alpha", "1/2", "--pattern", "c4", "--root-vertices", "x"),
+            ("exponent", "--alpha", "1/2", "--pattern", "c4", "--root-vertices", "0,1",
+             "--root-edges", "a-b"),
+            ("exponent", "--alpha", "1/2", "--pattern", "c4"),
+            ("supersat", "--host", "c4", "--pattern", "c4", "--root-edge", "0", "--seed", "0",
+             "--per-edge-cap", "-1"),
+            ("glue", "--a", "c4", "--ea", "-1", "--b", "c4", "--eb", "0"),
+        ],
+    )
+    def test_malformed_flag_value_is_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error: argument" in err or "error: one of the arguments" in err
 
     def test_seed_is_required_for_randomized_commands(self, capsys):
         code, _, _ = run(capsys, "construct", "--kind", "gnp", "--n", "5", "--p", "1/2")

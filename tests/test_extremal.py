@@ -12,6 +12,7 @@ from edgeglue.errors import (
     InfeasibleInput,
     InvariantViolation,
     SizeExceeded,
+    VertexNotInGraph,
 )
 from edgeglue.extremal import (
     ExtremalRecord,
@@ -118,6 +119,15 @@ class TestExactZarankiewicz:
         assert (w.plus_count, w.minus_count, w.edge_count) == (1, 63, 1)
         assert is_free(w, signed_star(2))
 
+    @pytest.mark.parametrize("m, n", [(1, 64), (64, 1)])
+    def test_sixty_five_vertex_host_inside_the_cell_cap(self, m, n):
+        # m*n = 64 is inside the branch-and-bound cap; the flat host has 65 vertices
+        rec = exact_zarankiewicz(m, n, signed_star(2))
+        assert rec.value == (1 if m == 1 else 64)
+        w = rec.witness_graph()
+        assert (w.plus_count, w.minus_count) == (m, n)
+        assert is_free(w, signed_star(2))
+
     def test_size_guards(self):
         with pytest.raises(SizeExceeded):
             exact_zarankiewicz(6, 5, signed_cycle(4), method="oracle")
@@ -165,6 +175,15 @@ class TestRatioReport:
         assert (sg.plus_count, sg.minus_count, sg.edge_count) == (2, 2, 4)
         with pytest.raises(InfeasibleInput):
             sign_graph(cycle(3))
+
+    def test_declared_plus_side(self):
+        # + vertices come first in side order: path 0-1-2 with + = {1} is a 2-leaf star
+        assert sign_graph(path(3), [1]) == signed_star(2)
+        assert sign_graph(path(3), [2, 0, 0]) == signed_star(2, center_plus=False)
+        with pytest.raises(InfeasibleInput):
+            sign_graph(path(3), [0, 1])
+        with pytest.raises(VertexNotInGraph):
+            sign_graph(path(3), [0, 7])
 
 
 class TestRecordStore:
