@@ -19,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds, constructions, extremal, gluing, store, supersat
-from .errors import EdgeGlueError, EdgeNotInGraph, ParseError
+from .errors import EdgeGlueError, EdgeNotInGraph, InvalidRootedPattern, ParseError
 from .graphs import (
     LabeledGraph,
     decode_graph6,
@@ -177,9 +177,15 @@ def _rooted_from_args(args) -> gluing.RootedPattern:
     return gluing.RootedPattern(h, args.root_vertices, args.root_edges or frozenset(), dist)
 
 
+def _stats_from_args(args) -> bounds.PatternStats:
+    try:
+        return bounds.PatternStats.from_rooted(_rooted_from_args(args))
+    except ValueError as exc:  # the root forest is not a proper part of the pattern
+        raise InvalidRootedPattern(str(exc)) from None
+
+
 def cmd_exponent(args) -> int:
-    p = _rooted_from_args(args)
-    stats = bounds.PatternStats.from_rooted(p)
+    stats = _stats_from_args(args)
     value = bounds.es_exponent_forest(args.alpha, stats)
     b1, b2 = bounds.es_exponent_branches(args.alpha, stats)
     _emit({"alpha_prime": _frac_str(value), "branch": 1 if b1 >= b2 else 2})
@@ -187,8 +193,7 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    p = _rooted_from_args(args)
-    stats = bounds.PatternStats.from_rooted(p)
+    stats = _stats_from_args(args)
     th = bounds.cleaning_threshold(args.n, stats, args.gamma, args.alpha, args.c)
     _emit(
         {
@@ -411,7 +416,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except EdgeGlueError as exc:
+    except (EdgeGlueError, OSError) as exc:  # OSError: an unusable --store path
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -7,8 +7,19 @@ this representation:
 
 * an exhaustive oracle that scans every bitmask with vectorized numpy, and
 * a branch-and-bound DFS over edge slots in lexicographic order, include
-  branch first, pruned when the current edges plus the undecided slots
-  cannot beat the incumbent.
+  branch first.  It prunes a subtree when the current edges plus the
+  undecided slots cannot beat the incumbent, and with the vertex-deletion
+  bound: a free host h on the same vertices satisfies
+  |h| <= X_v + deg_h(v) for every vertex v, where X_v is the optimum on the
+  host without v (ex(n-1), or z(m-1, n) / z(m, n-1) by the side of v), so
+  the subtree is cut once X_v plus the slots at v still reachable is at
+  most the incumbent.  Averaging the same inequality over the vertices
+  gives floor(n ex(n-1) / (n-2)) for K_n and the smaller of
+  floor(m z(m-1, n) / (m-1)) and floor(n z(m, n-1) / (n-1)) for K_{m,n};
+  the search stops once the incumbent reaches it.  The X come from the
+  same search on the smaller hosts, solved once per call.
+
+The front end checks every witness with `is_free` before it returns.
 """
 
 from __future__ import annotations
@@ -66,11 +77,19 @@ def _copy_masks(host, slots, patterns) -> list[int]:
 
 
 def _prune_dominated(masks: set[int]) -> list[int]:
-    """Drop masks that contain another mask (their constraint is implied)."""
+    """Drop masks that contain another mask (their constraint is implied).
+
+    Distinct masks with the same bit count cannot contain each other, so each
+    mask is only tested against the kept masks with fewer bits.
+    """
     ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
+    fewer: list[int] = []
+    count = -1
     for m in ordered:
-        if not any(m & k == k for k in kept):
+        if m.bit_count() != count:
+            count, fewer = m.bit_count(), kept.copy()
+        if not any(m & k == k for k in fewer):
             kept.append(m)
     return kept
 
@@ -109,21 +128,32 @@ def exhaustive_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, int]:
     return best, best_mask
 
 
-def branch_and_bound_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, int]:
-    """Exact DFS over edge slots; returns (max edges, witness mask)."""
+def branch_and_bound_max_free(
+    nbits: int,
+    masks: Sequence[int],
+    caps: Sequence[tuple[int, int]] = (),
+    limit: Optional[int] = None,
+) -> tuple[int, int]:
+    """Exact DFS over edge slots; returns (max edges, witness mask).
+
+    Optional bounds the caller proves for every free host h: each
+    (star, cap) in caps says |h| <= cap + |h & star|, and limit >= max |h|.
+    They only cut subtrees that cannot beat the incumbent, so the value and
+    the witness are those of the search without them.
+    """
     if not masks:
         return nbits, (1 << nbits) - 1
-    by_bit: list[list[int]] = [[] for _ in range(nbits)]
+    if limit is None:
+        limit = nbits
+    # Slots are decided in increasing order, so when slot `bit` is added the
+    # free host holds only lower slots: a copy it completes has `bit` on top.
+    by_top: list[list[int]] = [[] for _ in range(nbits)]
     for c in masks:
-        m = c
-        while m:
-            low = m & -m
-            by_bit[low.bit_length() - 1].append(c)
-            m ^= low
+        by_top[c.bit_length() - 1].append(c)
 
     def conflicts(cur: int, bit: int) -> bool:
         new = cur | 1 << bit
-        for c in by_bit[bit]:
+        for c in by_top[bit]:
             if new & c == c:
                 return True
         return False
@@ -136,27 +166,85 @@ def branch_and_bound_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, in
     best = greedy.bit_count()
     witness = greedy
 
+    full = (1 << nbits) - 1
+
     def dfs(i: int, cur: int, cnt: int):
         nonlocal best, witness
-        if cnt + (nbits - i) <= best:
+        if min(cnt + (nbits - i), limit) <= best:
             return
         if i == nbits:
             best, witness = cnt, cur
             return
         if not conflicts(cur, i):
             dfs(i + 1, cur | 1 << i, cnt + 1)
+        # excluding slot i shrinks what the subtree can reach; including it
+        # does not, so the caps are only checked here
+        reach = cur | (full >> (i + 1) << (i + 1))
+        for star, cap in caps:
+            if cap + (reach & star).bit_count() <= best:
+                return
         dfs(i + 1, cur, cnt)
 
     dfs(0, 0, 0)
     return best, witness
 
 
-def _witness(host, slots, mask: int) -> str:
-    """Encode the slots selected by mask: graph6, or sb: for a signed host."""
-    flat = LabeledGraph(host.vertex_count, [e for k, e in enumerate(slots) if mask >> k & 1])
-    if isinstance(host, SignedBipartiteGraph):
-        return encode_sb(SignedBipartiteGraph.from_flat(host.plus_count, flat))
-    return encode_graph6(flat)
+# ---------------------------------------------------------------------------
+# Front end: instances by host size, and the vertex-deletion bound
+# ---------------------------------------------------------------------------
+
+
+def _fitting(size: tuple[int, ...], patterns) -> list:
+    """The patterns small enough to occur in the host of this size."""
+    if len(size) == 1:
+        return [h for h in patterns if h.vertex_count <= size[0]]
+    return [h for h in patterns if h.plus_count <= size[0] and h.minus_count <= size[1]]
+
+
+def _instance(size: tuple[int, ...], patterns):
+    """Edge slots and copy masks of the host: K_n for size (n,), the signed
+    K_{m,n} for size (m, n).
+
+    Edge slots are the flattened host's sorted edges: for K_n slot k is the
+    k-th pair (i, j) in lexicographic order, and for the signed K_{m,n} slot
+    p*n+q is the edge (p, q).
+    """
+    host = complete(*size) if len(size) == 1 else signed_complete_bipartite(*size)
+    slots = (host.as_unsigned() if len(size) == 2 else host).sorted_edges
+    return slots, _copy_masks(host, slots, _fitting(size, patterns))
+
+
+def _bnb(size, slots, masks, patterns, memo: dict) -> tuple[int, int]:
+    """Branch-and-bound with the vertex-deletion bound (see the module notes).
+
+    Each class of k vertices (all of K_n, or one side of K_{m,n}) shares one
+    X, and each edge has d endpoints in the class, so summing |h - v| <= X
+    over the class gives (k - d)|h| <= k X (Katona-Nemetz-Simonovits).  The
+    X are solved the same way on the smaller hosts; memo maps a size to its
+    optimum.
+    """
+    if not masks:
+        return branch_and_bound_max_free(len(slots), masks)
+    if len(size) == 1:
+        (n,) = size
+        classes = [(range(n), (n - 1,), 2)]
+    else:
+        m, n = size
+        classes = [(range(m), (m - 1, n), 1), (range(m, m + n), (m, n - 1), 1)]
+    star = [0] * sum(size)
+    for k, (a, b) in enumerate(slots):
+        star[a] |= 1 << k
+        star[b] |= 1 << k
+    caps, limit = [], len(slots)
+    for vertices, smaller, d in classes:
+        if smaller not in memo:
+            sub_slots, sub_masks = _instance(smaller, patterns)
+            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, patterns, memo)[0]
+        x = memo[smaller]
+        caps += [(star[v], x) for v in vertices]
+        if len(vertices) > d:
+            limit = min(limit, len(vertices) * x // (len(vertices) - d))
+    return branch_and_bound_max_free(len(slots), masks, caps, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +325,26 @@ def forbidden_certificates(forbidden) -> tuple[str, ...]:
     return tuple(sorted(canonical_form(h).bytes.decode() for h in forbidden))
 
 
-def _solve(host, patterns, forbidden, method: str) -> ExtremalRecord:
-    """The front end both exact_* share: masks, one engine, witness, record.
-
-    Edge slots are the flattened host's sorted edges: for K_n slot k is the
-    k-th pair (i, j) in lexicographic order, and for the signed K_{m,n} slot
-    p*n+q is the edge (p, q).
-    """
+def _solve(size: tuple[int, ...], forbidden, method: str) -> ExtremalRecord:
+    """The front end both exact_* share: masks, one engine, checked witness, record."""
     t0 = time.perf_counter()
-    signed = isinstance(host, SignedBipartiteGraph)
-    slots = (host.as_unsigned() if signed else host).sorted_edges
-    masks = _copy_masks(host, slots, patterns)
+    slots, masks = _instance(size, forbidden)
     if method == "oracle":
         value, wmask = exhaustive_max_free(len(slots), masks)
     else:
-        value, wmask = branch_and_bound_max_free(len(slots), masks)
+        value, wmask = _bnb(size, slots, masks, forbidden, {})
+    w = LabeledGraph(sum(size), [e for k, e in enumerate(slots) if wmask >> k & 1])
+    if len(size) == 2:
+        w = SignedBipartiteGraph.from_flat(size[0], w)
+    if w.edge_count != value or not all(is_free(w, h) for h in _fitting(size, forbidden)):
+        raise InvariantViolation(f"{method} witness is not a free host with {value} edges")
     runtime = int((time.perf_counter() - t0) * 1000)
     return ExtremalRecord(
-        kind="zarankiewicz" if signed else "turan",
+        kind="turan" if len(size) == 1 else "zarankiewicz",
         forbidden=forbidden_certificates(forbidden),
-        size=(host.plus_count, host.minus_count) if signed else (host.vertex_count,),
+        size=size,
         value=value,
-        witness=_witness(host, slots, wmask),
+        witness=encode_graph6(w) if len(size) == 1 else encode_sb(w),
         method=method,
         runtime_ms=runtime,
         timestamp=_now(),
@@ -284,7 +370,7 @@ def exact_turan(
             raise SizeExceeded(f"branch-and-bound capped at n={bnb_max_n}")
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _solve(complete(n), [h for h in forbidden if h.vertex_count <= n], forbidden, method)
+    return _solve((n,), forbidden, method)
 
 
 def exact_zarankiewicz(
@@ -305,8 +391,7 @@ def exact_zarankiewicz(
             raise SizeExceeded(f"branch-and-bound capped at m*n={bnb_max_cells}")
     else:
         raise ValueError(f"unknown method {method!r}")
-    fits = h.plus_count <= m and h.minus_count <= n
-    return _solve(signed_complete_bipartite(m, n), [h] if fits else [], [h], method)
+    return _solve((m, n), [h], method)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Command-line surface: dispatch, exit codes, caching, and determinism."""
 
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeglue.cli import main
 
@@ -91,12 +97,17 @@ class TestExitCodes:
             (("verify", "--family", "LIST"), "ParseError"),
             (("construct", "--kind", "deletion", "--n", "0", "--forbid", "c4", "--seed", "0"),
              "PreconditionViolated"),
+            (("exponent", "--alpha", "0", "--pattern", "k0,2", "--root-vertices", "0"),
+             "InvalidRootedPattern"),
+            (("ex", "--n", "3", "--forbid", "c4", "--store", "DIR"), "IsADirectoryError"),
+            (("ex", "--n", "3", "--forbid", "c4", "--store", "MISSING/x"), "FileNotFoundError"),
         ],
     )
     def test_bad_input_is_exit_1_without_traceback(self, capsys, tmp_path, argv, error):
         (tmp_path / "nohost.json").write_text(json.dumps({"pattern": "Cr"}))
         (tmp_path / "list.json").write_text("[1, 2]")
-        files = {"MISSING": "missing.json", "NOHOST": "nohost.json", "LIST": "list.json"}
+        files = {"MISSING": "missing.json", "NOHOST": "nohost.json", "LIST": "list.json", "DIR": "",
+                 "MISSING/x": "missing/x"}
         argv = [str(tmp_path / files[a]) if a in files else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -202,3 +213,73 @@ class TestCache:
         monkeypatch.delenv("EDGEGLUE_STORE", raising=False)
         code, _, err = run(capsys, "cache")
         assert code == 1 and json.loads(err)["error"] == "EdgeGlueError"
+
+
+# Flag values for the argv fuzz: small sizes, malformed numbers and names.
+NUMBERS = ["0", "1", "2", "3", "4", "5", "-1", "x", "", "1/0", "0.5", "2,3", "0-1", "nan"]
+GRAPHS = ["c4", "p3", "k2,3", "s3", "c3", "c6", "s2+", "s2-", "Cr", "?", "", "zz", "c5", "k0,2"]
+METHODS = ["oracle", "branch-and-bound", "x"]
+ROOTS = {"--root-edge": NUMBERS, "--root-vertices": NUMBERS, "--root-edges": NUMBERS,
+         "--marked-edge": NUMBERS}
+# command -> (required flags, optional flags); a flag maps to its value pool,
+# None for a switch, or the name of a pool of file paths
+FLAGS = {
+    "glue": ({"--a": GRAPHS, "--ea": NUMBERS, "--b": GRAPHS, "--eb": NUMBERS}, {}),
+    "count": ({"--pattern": GRAPHS, "--host": GRAPHS}, {"--signed": None}),
+    "ex": ({"--n": NUMBERS, "--forbid": GRAPHS}, {"--method": METHODS, "--store": "STORE"}),
+    "zex": ({"--m": NUMBERS, "--n": NUMBERS, "--pattern": GRAPHS},
+            {"--method": METHODS, "--store": "STORE"}),
+    "ratio": ({"--pattern": GRAPHS, "--sizes": NUMBERS}, {"--method": METHODS}),
+    "exponent": ({"--alpha": NUMBERS, "--pattern": GRAPHS}, ROOTS),
+    "threshold": ({"--n": NUMBERS, "--alpha": NUMBERS, "--gamma": NUMBERS, "--pattern": GRAPHS},
+                  {"--c": NUMBERS, **ROOTS}),
+    "construct": ({"--kind": ["gnp", "deletion", "sign-split", "x"], "--seed": NUMBERS},
+                  {"--n": NUMBERS, "--p": NUMBERS, "--forbid": GRAPHS, "--host": GRAPHS}),
+    "supersat": ({"--host": GRAPHS, "--pattern": GRAPHS, "--seed": NUMBERS},
+                 {"--per-edge-cap": NUMBERS, "--per-pair-cap": NUMBERS, "--target-size": NUMBERS,
+                  "--shuffle": None, **ROOTS}),
+    "verify": ({"--family": "FAMILY"}, {"--per-edge-cap": NUMBERS, "--per-pair-cap": NUMBERS}),
+    "cache": ({}, {"--store": "STORE", "--kind": ["turan", "zarankiewicz", "x"]}),
+}
+
+
+@st.composite
+def argvs(draw, files):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    required, optional = FLAGS[command]
+    flags = list(required) + [f for f in sorted(optional) if draw(st.booleans())]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        pool = {**required, **optional}[flag]
+        argv.append(flag)
+        if pool is not None:
+            argv.append(draw(st.sampled_from(files[pool] if isinstance(pool, str) else pool)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "garbage.json").write_text("{not json")
+    (d / "list.json").write_text("[1, 2]")
+    (d / "torn.jsonl").write_text('{"crc32": 1, "rec')
+    bad = [str(d), str(d / "missing" / "x.json"), str(d / "garbage.json")]
+    return {
+        "STORE": [str(d / "store.jsonl"), str(d / "torn.jsonl"), ""] + bad,
+        "FAMILY": [str(d / "list.json")] + bad,
+    }
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, fuzz_files, data):
+        argv = data.draw(argvs(fuzz_files))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("EDGEGLUE_STORE", None)
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 1:
+            assert set(json.loads(err.getvalue())) == {"error", "message"}, argv

@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgeglue import extremal
 from edgeglue.embed import is_free
 from edgeglue.errors import (
     CorruptStore,
@@ -26,6 +30,7 @@ from edgeglue.extremal import (
 from edgeglue.gluing import glue_along_edge
 from edgeglue.graphs import (
     LabeledGraph,
+    SignedBipartiteGraph,
     cycle,
     path,
     signed_cycle,
@@ -128,6 +133,19 @@ class TestExactZarankiewicz:
         assert (w.plus_count, w.minus_count) == (m, n)
         assert is_free(w, signed_star(2))
 
+    @pytest.mark.parametrize("m, n, value", [(3, 4, 7), (4, 3, 7), (4, 5, 10), (5, 4, 10)])
+    def test_unequal_sides(self, m, n, value):
+        # z(m, n; C4) from Guy's table; each side's vertices are capped by their own smaller host
+        assert exact_zarankiewicz(m, n, signed_cycle(4)).value == value
+        k23 = SignedBipartiteGraph(2, 3, [(p, q) for p in range(2) for q in range(3)])
+        oracle = exact_zarankiewicz(m, n, k23, method="oracle").value
+        assert exact_zarankiewicz(m, n, k23).value == oracle
+
+    @pytest.mark.parametrize("m, n", [(2, 32), (32, 2)])
+    def test_two_row_host_inside_the_cell_cap(self, m, n):
+        # 64 slots: bounded only by "edges so far + undecided slots", this ran for over 10 minutes
+        assert exact_zarankiewicz(m, n, signed_cycle(4)).value == 33
+
     def test_size_guards(self):
         with pytest.raises(SizeExceeded):
             exact_zarankiewicz(6, 5, signed_cycle(4), method="oracle")
@@ -136,20 +154,91 @@ class TestExactZarankiewicz:
 
 
 # Literature values, independent of the copy-mask front end both engines share.
-A006855_EX_C4 = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9}
-A001197_Z_C4 = {1: 1, 2: 3, 3: 6, 4: 9}
+A006855_EX_C4 = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11}
+A001197_Z_C4 = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12}
+METHODS = ("oracle", "branch-and-bound")
+# the largest sizes are beyond the oracle's caps
+EX_CASES = [(n, m) for n in A006855_EX_C4 for m in METHODS if n < 8 or m != "oracle"]
+Z_CASES = [(n, m) for n in A001197_Z_C4 for m in METHODS if n < 5 or m != "oracle"]
 
 
 class TestLiteratureOracle:
-    @pytest.mark.parametrize("method", ["oracle", "branch-and-bound"])
-    @pytest.mark.parametrize("n", sorted(A006855_EX_C4))
+    @pytest.mark.parametrize("n, method", EX_CASES)
     def test_ex_c4_matches_oeis_a006855(self, n, method):
         assert exact_turan(n, [cycle(4)], method=method).value == A006855_EX_C4[n]
 
-    @pytest.mark.parametrize("method", ["oracle", "branch-and-bound"])
-    @pytest.mark.parametrize("n", sorted(A001197_Z_C4))
+    @pytest.mark.parametrize("n, method", Z_CASES)
     def test_z_signed_c4_matches_oeis_a001197(self, n, method):
         assert exact_zarankiewicz(n, n, signed_cycle(4), method=method).value == A001197_Z_C4[n]
+
+
+@st.composite
+def unsigned_patterns(draw):
+    k = draw(st.integers(min_value=2, max_value=5))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return LabeledGraph(k, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+
+
+@st.composite
+def signed_patterns(draw):
+    a = draw(st.integers(min_value=1, max_value=3))
+    b = draw(st.integers(min_value=1, max_value=3))
+    cells = [(p, q) for p in range(a) for q in range(b)]
+    edges = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    return SignedBipartiteGraph(a, b, edges)
+
+
+class TestVertexDeletionBound:
+    """The caps and the limit only prune: every branch-and-bound call, the
+    sub-solves on smaller hosts included, returns what the plain search and
+    the oracle return."""
+
+    @staticmethod
+    def solve_checked(solve):
+        plain = extremal.branch_and_bound_max_free
+        bounded_calls = []
+
+        def checked(nbits, masks, caps=(), limit=None):
+            got = plain(nbits, masks, caps, limit)
+            assert got == plain(nbits, masks)
+            assert got[0] == extremal.exhaustive_max_free(nbits, masks)[0]
+            bounded_calls.append(bool(caps))
+            return got
+
+        with mock.patch.object(extremal, "branch_and_bound_max_free", checked):
+            rec = solve()
+        return rec, bounded_calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.lists(unsigned_patterns(), min_size=1, max_size=2))
+    def test_turan(self, n, patterns):
+        rec, bounded = self.solve_checked(lambda: exact_turan(n, patterns))
+        assert rec.value == exact_turan(n, patterns, method="oracle").value
+        assert bounded[-1] or rec.value == n * (n - 1) // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), signed_patterns())
+    def test_zarankiewicz(self, m, n, h):
+        rec, bounded = self.solve_checked(lambda: exact_zarankiewicz(m, n, h))
+        assert rec.value == exact_zarankiewicz(m, n, h, method="oracle").value
+        assert bounded[-1] or rec.value == m * n
+
+
+class TestWitnessCheck:
+    @pytest.mark.parametrize("engine", ["branch_and_bound_max_free", "exhaustive_max_free"])
+    def test_witness_with_a_copy_is_rejected(self, monkeypatch, engine):
+        monkeypatch.setattr(extremal, engine, lambda nbits, masks, *rest: (nbits, (1 << nbits) - 1))
+        method = "oracle" if engine == "exhaustive_max_free" else "branch-and-bound"
+        with pytest.raises(InvariantViolation):
+            exact_turan(5, [cycle(4)], method=method)
+        with pytest.raises(InvariantViolation):
+            exact_zarankiewicz(3, 3, signed_cycle(4), method=method)
+
+    def test_witness_with_the_wrong_edge_count_is_rejected(self, monkeypatch):
+        engine = lambda nbits, masks, *rest: (1, 0)  # noqa: E731
+        monkeypatch.setattr(extremal, "branch_and_bound_max_free", engine)
+        with pytest.raises(InvariantViolation):
+            exact_turan(5, [cycle(4)])
 
 
 class TestRatioReport:
@@ -245,6 +334,44 @@ class TestRecordStore:
         assert (w.plus_count, w.minus_count) == (3, 3)
         assert w == exact_zarankiewicz(3, 3, signed_cycle(4)).witness_graph()
         hit.validate()
+
+    @staticmethod
+    def torn_store(path_):
+        """A store whose last append was cut short."""
+        store_record(path_, exact_turan(4, [cycle(4)]))
+        store_record(path_, exact_turan(5, [cycle(4)]))
+        text = path_.read_text()
+        path_.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
+
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        self.torn_store(path_)
+        assert [r.size for r in load_records(path_)] == [(4,)]
+        assert lookup(path_, "turan", forbidden_certificates([cycle(4)]), (5,)) is None
+
+    def test_append_after_a_torn_last_line(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        self.torn_store(path_)
+        store_record(path_, exact_turan(6, [cycle(4)]))
+        assert [r.size for r in load_records(path_)] == [(4,), (6,)]
+        assert path_.read_text().endswith("\n")
+
+    def test_complete_last_line_without_newline_is_kept(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        store_record(path_, exact_turan(4, [cycle(4)]))
+        path_.write_text(path_.read_text().rstrip("\n"))
+        assert len(load_records(path_)) == 1
+        store_record(path_, exact_turan(5, [cycle(4)]))
+        assert [r.size for r in load_records(path_)] == [(4,), (5,)]
+
+    def test_bad_line_inside_the_file_is_corruption(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        self.torn_store(path_)
+        with path_.open("a") as fh:
+            fh.write("\n")
+        store_record(path_, exact_turan(6, [cycle(4)]))
+        with pytest.raises(CorruptStore):
+            load_records(path_)
 
     def test_empty_store(self, tmp_path):
         assert load_records(tmp_path / "missing.jsonl") == []
