@@ -5,7 +5,10 @@ host, and forbidden patterns become precomputed copy masks: a host is free
 iff it contains no copy mask as a submask.  Two independent engines share
 this representation:
 
-* an exhaustive oracle that scans every bitmask with vectorized numpy, and
+* an exhaustive oracle, a numpy sieve that closes the copy masks upward
+  over all bitmasks with one pass per edge slot, however many masks there
+  are (see `exhaustive_max_free`); it shares nothing with the search but
+  the masks, and
 * a branch-and-bound DFS over edge slots in lexicographic order, include
   branch first.  It prunes a subtree when the current edges plus the
   undecided slots cannot beat the incumbent, and with the vertex-deletion
@@ -17,7 +20,8 @@ this representation:
   gives floor(n ex(n-1) / (n-2)) for K_n and the smaller of
   floor(m z(m-1, n) / (m-1)) and floor(n z(m, n-1) / (n-1)) for K_{m,n};
   the search stops once the incumbent reaches it.  The X come from the
-  same search on the smaller hosts, solved once per call.
+  same search on the smaller hosts, solved once per call; their copy masks
+  are the masks that avoid the deleted vertex.
 
 The front end checks every witness with `is_free` before it returns.
 """
@@ -56,6 +60,7 @@ DEFAULT_BNB_MAX_N = 10
 DEFAULT_ORACLE_MAX_CELLS = 25
 DEFAULT_BNB_MAX_CELLS = 64
 _ORACLE_MAX_BITS = 28
+_ORACLE_CHUNK_BITS = 22  # the oracle sieves 2^22 hosts at a time
 
 
 def _copy_masks(host, slots, patterns) -> list[int]:
@@ -100,31 +105,39 @@ def _prune_dominated(masks: set[int]) -> list[int]:
 
 
 def exhaustive_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, int]:
-    """Scan all 2^nbits hosts; return (max edges, lowest witness mask)."""
+    """Sieve all 2^nbits hosts; return (max edges, lowest witness mask).
+
+    Hosts go in chunks that share their bits above the low k.  In a chunk
+    with high part H, a host contains a copy mask c iff the high part of c
+    lies in H and its low part c & low is a submask of the host's low part.
+    So the chunk marks c & low for those c and closes the marks upward, one
+    in-place OR per low bit; the unmarked low parts are the free hosts.
+    """
     if nbits > _ORACLE_MAX_BITS:
         raise SizeExceeded(f"exhaustive oracle limited to {_ORACLE_MAX_BITS} edge slots")
     if not masks:
         return nbits, (1 << nbits) - 1
-    dtype = np.uint32 if nbits <= 32 else np.uint64
-    cmasks = [dtype(c) for c in masks]
-    best = -1
-    best_mask = 0
-    chunk = 1 << 22
-    total = 1 << nbits
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        arr = np.arange(start, stop, dtype=dtype)
-        free = np.ones(stop - start, dtype=bool)
-        for c in cmasks:
-            np.logical_and(free, (arr & c) != c, out=free)
-        if not free.any():
+    k = min(nbits, _ORACLE_CHUNK_BITS)
+    low = (1 << k) - 1
+    cs = np.array(masks, dtype=np.uint32)
+    c_low, c_high = cs & low, cs & ~np.uint32(low)
+    low_count = np.bitwise_count(np.arange(1 << k, dtype=np.uint32)).astype(np.uint8)
+    best, best_mask = -1, 0
+    for high in range(0, 1 << nbits, 1 << k):
+        bad = np.zeros(1 << k, dtype=bool)
+        bad[c_low[c_high & high == c_high]] = True
+        if bad[0]:  # the low part 0 lies in every host of the chunk
             continue
-        arr = arr[free]
-        pc = np.bitwise_count(arr)
-        top = int(pc.max())
-        if top > best:
-            best = top
-            best_mask = int(arr[np.argmax(pc == top)])
+        for i in range(k):
+            v = bad.reshape(-1, 2, 1 << i)
+            v[:, 1] |= v[:, 0]
+        # free hosts keep their count; the rest score 0, which only the free
+        # host at index 0 also scores, and argmax takes the first maximum
+        score = low_count * ~bad
+        j = int(np.argmax(score))
+        count = int(score[j]) + high.bit_count()
+        if count > best:
+            best, best_mask = count, high | j
     return best, best_mask
 
 
@@ -214,14 +227,30 @@ def _instance(size: tuple[int, ...], patterns):
     return slots, _copy_masks(host, slots, _fitting(size, patterns))
 
 
-def _bnb(size, slots, masks, patterns, memo: dict) -> tuple[int, int]:
+def _delete_vertex(slots, masks, v: int):
+    """Slots and copy masks of the host without vertex v, from the host's own.
+
+    v is the last vertex of K_n, or of one side of the flattened K_{m,n}, so
+    the slots that avoid v, in order and with the vertices above v shifted
+    down, are the smaller host's slots as `_instance` lays them out.  Its
+    copies are the copies that avoid v, so its minimal copy masks are the
+    minimal masks that avoid v, moved to the new slot numbers.
+    """
+    kept = [k for k, e in enumerate(slots) if v not in e]
+    at_v = sum(1 << k for k, e in enumerate(slots) if v in e)
+    sub_slots = [(a - (a > v), b - (b > v)) for a, b in (slots[k] for k in kept)]
+    sub_masks = [sum(1 << j for j, k in enumerate(kept) if c >> k & 1) for c in masks if not c & at_v]
+    return sub_slots, sub_masks
+
+
+def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
     """Branch-and-bound with the vertex-deletion bound (see the module notes).
 
     Each class of k vertices (all of K_n, or one side of K_{m,n}) shares one
     X, and each edge has d endpoints in the class, so summing |h - v| <= X
     over the class gives (k - d)|h| <= k X (Katona-Nemetz-Simonovits).  The
-    X are solved the same way on the smaller hosts; memo maps a size to its
-    optimum.
+    X are solved the same way on the smaller hosts, whose instances come
+    from this one by `_delete_vertex`; memo maps a size to its optimum.
     """
     if not masks:
         return branch_and_bound_max_free(len(slots), masks)
@@ -238,8 +267,8 @@ def _bnb(size, slots, masks, patterns, memo: dict) -> tuple[int, int]:
     caps, limit = [], len(slots)
     for vertices, smaller, d in classes:
         if smaller not in memo:
-            sub_slots, sub_masks = _instance(smaller, patterns)
-            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, patterns, memo)[0]
+            sub_slots, sub_masks = _delete_vertex(slots, masks, vertices[-1])
+            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, memo)[0]
         x = memo[smaller]
         caps += [(star[v], x) for v in vertices]
         if len(vertices) > d:
@@ -332,7 +361,7 @@ def _solve(size: tuple[int, ...], forbidden, method: str) -> ExtremalRecord:
     if method == "oracle":
         value, wmask = exhaustive_max_free(len(slots), masks)
     else:
-        value, wmask = _bnb(size, slots, masks, forbidden, {})
+        value, wmask = _bnb(size, slots, masks, {})
     w = LabeledGraph(sum(size), [e for k, e in enumerate(slots) if wmask >> k & 1])
     if len(size) == 2:
         w = SignedBipartiteGraph.from_flat(size[0], w)

@@ -5,7 +5,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeglue import extremal
@@ -27,10 +27,11 @@ from edgeglue.extremal import (
     ratio_report,
     sign_graph,
 )
-from edgeglue.gluing import glue_along_edge
+from edgeglue.gluing import GluingSpec, glue_along_edge, signed_glue
 from edgeglue.graphs import (
     LabeledGraph,
     SignedBipartiteGraph,
+    complete,
     cycle,
     path,
     signed_cycle,
@@ -38,6 +39,9 @@ from edgeglue.graphs import (
     star,
 )
 from edgeglue.store import load_records, lookup, store_record
+
+HSTAR = glue_along_edge(cycle(4), (0, 1), cycle(4), (0, 1))[0]
+SIGNED_HSTAR = signed_glue(GluingSpec(((signed_cycle(4), (0, 0)),) * 2, mode="signed-unique"))
 
 
 class TestExactTuran:
@@ -153,23 +157,86 @@ class TestExactZarankiewicz:
             exact_zarankiewicz(9, 8, signed_cycle(4))
 
 
+def scan_max_free(nbits, masks):
+    """The oracle's contract, one host at a time: (max edges, lowest witness)."""
+    best = (-1, 0)
+    for h in range(1 << nbits):
+        if h.bit_count() > best[0] and all(h & c != c for c in masks):
+            best = (h.bit_count(), h)
+    return best
+
+
+@st.composite
+def mask_sets(draw):
+    nbits = draw(st.integers(0, 12))
+    bits = st.sets(st.integers(0, max(nbits - 1, 0)), max_size=min(nbits, 4))
+    masks = draw(st.lists(bits.map(lambda s: sum(1 << b for b in s)), max_size=8))
+    return nbits, masks
+
+
+class TestExhaustiveOracle:
+    @pytest.mark.parametrize(
+        "size, patterns, expected",
+        [
+            ((7,), [cycle(4)], (9, 42047)),
+            ((7,), [HSTAR], (13, 375871)),
+            ((5, 5), [signed_cycle(4)], (12, 3319358)),
+        ],
+        ids=["ex7-c4", "ex7-hstar", "z55-c4"],
+    )
+    def test_pinned_value_and_witness(self, size, patterns, expected):
+        slots, masks = extremal._instance(size, patterns)
+        assert extremal.exhaustive_max_free(len(slots), masks) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask_sets(), st.integers(0, 12))
+    @example((0, []), 22)
+    @example((0, [0]), 22)
+    @example((5, [0]), 2)  # the empty mask rules out every host
+    @example((4, [0b1, 0b1000]), 1)
+    @example((12, [0b11, 0b1100, 1 << 11]), 3)
+    def test_matches_a_scan_of_every_host(self, case, chunk_bits):
+        nbits, masks = case
+        # a small chunk splits the hosts into several chunks by their high bits
+        with mock.patch.object(extremal, "_ORACLE_CHUNK_BITS", chunk_bits):
+            assert extremal.exhaustive_max_free(nbits, masks) == scan_max_free(nbits, masks)
+
+    def test_slot_cap(self):
+        with pytest.raises(SizeExceeded):
+            extremal.exhaustive_max_free(29, [1])
+
+
 # Literature values, independent of the copy-mask front end both engines share.
 A006855_EX_C4 = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11}
-A001197_Z_C4 = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12}
+A001197_Z_C4 = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12, 6: 16}
 METHODS = ("oracle", "branch-and-bound")
-# the largest sizes are beyond the oracle's caps
-EX_CASES = [(n, m) for n in A006855_EX_C4 for m in METHODS if n < 8 or m != "oracle"]
+# ex(8) is the oracle's 28-slot limit, past its default cap; z(5, 5) is pinned
+# in TestExhaustiveOracle, and z(6, 6) is beyond the oracle
+EX_CASES = [(n, m) for n in A006855_EX_C4 for m in METHODS]
 Z_CASES = [(n, m) for n in A001197_Z_C4 for m in METHODS if n < 5 or m != "oracle"]
 
 
 class TestLiteratureOracle:
     @pytest.mark.parametrize("n, method", EX_CASES)
     def test_ex_c4_matches_oeis_a006855(self, n, method):
-        assert exact_turan(n, [cycle(4)], method=method).value == A006855_EX_C4[n]
+        assert exact_turan(n, [cycle(4)], method=method, oracle_max_n=8).value == A006855_EX_C4[n]
 
     @pytest.mark.parametrize("n, method", Z_CASES)
     def test_z_signed_c4_matches_oeis_a001197(self, n, method):
         assert exact_zarankiewicz(n, n, signed_cycle(4), method=method).value == A001197_Z_C4[n]
+
+
+class TestDegenerateSizes:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_turan(self, method):
+        got = [exact_turan(n, [cycle(4)], method=method) for n in (0, 1, 2)]
+        assert [(r.value, r.witness) for r in got] == [(0, "?"), (0, "@"), (1, "A_")]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zarankiewicz(self, method):
+        got = [exact_zarankiewicz(m, n, signed_cycle(4), method=method) for m, n in ((0, 3), (3, 0), (0, 0), (1, 1))]
+        assert [r.witness for r in got] == ["sb:0:3:", "sb:3:0:", "sb:0:0:", "sb:1:1:1"]
+        assert [r.value for r in got] == [0, 0, 0, 1]
 
 
 @st.composite
@@ -222,6 +289,30 @@ class TestVertexDeletionBound:
         rec, bounded = self.solve_checked(lambda: exact_zarankiewicz(m, n, h))
         assert rec.value == exact_zarankiewicz(m, n, h, method="oracle").value
         assert bounded[-1] or rec.value == m * n
+
+
+class TestDeleteVertex:
+    """The instance of the host one vertex smaller, derived from the larger
+    one, is the one `_instance` builds from scratch."""
+
+    @staticmethod
+    def assert_derived(size, smaller, v, patterns):
+        derived_slots, derived_masks = extremal._delete_vertex(*extremal._instance(size, patterns), v)
+        slots, masks = extremal._instance(smaller, patterns)
+        assert list(derived_slots) == list(slots)
+        assert sorted(derived_masks) == sorted(masks)
+
+    @pytest.mark.parametrize("patterns", [[cycle(4)], [HSTAR], [cycle(4), complete(4)]], ids=["c4", "hstar", "c4+k4"])
+    def test_turan(self, patterns):
+        for n in range(1, 9):
+            self.assert_derived((n,), (n - 1,), n - 1, patterns)
+
+    @pytest.mark.parametrize("h", [signed_cycle(4), SIGNED_HSTAR], ids=["c4", "hstar"])
+    def test_zarankiewicz(self, h):
+        for m in range(1, 6):
+            for n in range(1, 6):
+                self.assert_derived((m, n), (m - 1, n), m - 1, [h])
+                self.assert_derived((m, n), (m, n - 1), m + n - 1, [h])
 
 
 class TestWitnessCheck:
