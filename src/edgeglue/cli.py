@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cache", help="list stored extremal records")
     sp.add_argument("--store", default=None)
-    sp.add_argument("--kind", default=None)
+    sp.add_argument("--kind", default=None, choices=["turan", "zarankiewicz"])
     sp.set_defaults(func=cmd_cache)
 
     return ap

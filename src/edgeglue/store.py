@@ -4,18 +4,42 @@ Each line is {"record": {...}, "crc32": ...} where the checksum covers the
 canonical JSON serialization of the record.  Duplicate (kind, forbidden,
 size) keys keep the earliest record.  An append cut short leaves an
 unterminated last line that does not parse: readers skip it and the next
-append drops it.  Any other bad line is corruption.
+append drops it.  Any other bad line is corruption: an unreadable line, a
+checksum mismatch or a record with a missing or ill-typed field raises
+`CorruptStore` naming `path:lineno`.  Lines are UTF-8 and end at "\\n"; a
+"\\r" before it is stripped as whitespace.
+
+Every `load_records` and `lookup` reads the whole file but parses only what
+it has not parsed before.  A per-path index holds the complete lines it last
+parsed, their count, and a key -> earliest record dict.  When the bytes just
+read begin with those lines, only the complete lines after them are parsed;
+otherwise (the file was deleted, truncated, rewritten or edited in place)
+the whole file is.  So the records served always match the bytes the file
+holds at that call, and each line is checked once per distinct content.  A
+parse that raises leaves the index as it was, so a corrupt file raises on
+every call.  The unterminated last line is never indexed: each call parses
+it again, keeps it if it parses and its checksum matches, and skips it if it
+is torn.  `store_record` needs no hook: its append is new bytes after the
+indexed lines.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 from typing import Optional
 
 from .errors import CorruptStore
 from .extremal import ExtremalRecord
+
+# path -> (complete lines as last parsed, their count, key -> earliest record).
+# Every call checks the entry against the bytes it reads, so what one caller
+# leaves here cannot change what another is served.
+_INDEX: dict[str, tuple[bytes, int, dict]] = {}
+_INDEXED_PATHS = 8  # the least recently extended entry goes first
+_LOCK = threading.Lock()
 
 
 def _canonical_json(d: dict) -> str:
@@ -64,6 +88,55 @@ def store_record(path: str, record: ExtremalRecord) -> None:
         fh.write(line + "\n")
 
 
+def _record(path, lineno: int, raw: bytes, torn_ok: bool = False) -> Optional[ExtremalRecord]:
+    """The record on one line, or None if the line is blank (or unreadable,
+    when `torn_ok`: the unterminated last line); CorruptStore otherwise."""
+    try:
+        line = raw.decode().strip()  # UnicodeDecodeError is a ValueError
+        if not line:
+            return None
+        payload, crc = _parse_line(line)
+    except ValueError as exc:
+        if torn_ok:
+            return None
+        raise CorruptStore(f"{path}:{lineno}: unreadable line") from exc
+    if zlib.crc32(_canonical_json(payload).encode()) != crc:
+        raise CorruptStore(f"{path}:{lineno}: checksum mismatch")
+    try:
+        rec = ExtremalRecord.from_dict(payload)
+        hash(rec.key())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptStore(f"{path}:{lineno}: malformed record") from exc
+    return rec
+
+
+def _indexed(path) -> tuple[dict, Optional[ExtremalRecord]]:
+    """(key -> earliest record on the complete lines, record on the
+    unterminated last line or None), both for the file's current bytes."""
+    name = os.fspath(path)
+    if not os.path.exists(name):
+        return {}, None
+    with _LOCK, open(name, "rb") as fh:
+        data = fh.read()
+        prefix, lines, records = _INDEX.get(name, (b"", 0, {}))
+        if not data.startswith(prefix):
+            prefix, lines, records = b"", 0, {}
+        end = data.rfind(b"\n") + 1
+        if end > len(prefix):
+            new = data[len(prefix) : end].split(b"\n")[:-1]
+            parsed = [_record(path, lines + i, raw) for i, raw in enumerate(new, start=1)]
+            for rec in parsed:  # only once every new line has passed
+                if rec is not None:
+                    records.setdefault(rec.key(), rec)
+            lines += len(new)
+            _INDEX.pop(name, None)
+            if len(_INDEX) >= _INDEXED_PATHS:
+                del _INDEX[next(iter(_INDEX))]
+            _INDEX[name] = (data[:end], lines, records)
+    tail = _record(path, lines + 1, data[end:], torn_ok=True) if end < len(data) else None
+    return records, tail
+
+
 def load_records(
     path: str,
     kind: Optional[str] = None,
@@ -71,28 +144,10 @@ def load_records(
     forbidden=None,
 ) -> list[ExtremalRecord]:
     """All records matching the query, earliest first; duplicates dropped."""
-    if not os.path.exists(path):
-        return []
-    out: list[ExtremalRecord] = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                payload, crc = _parse_line(line)
-            except ValueError as exc:
-                if not raw.endswith("\n"):
-                    break  # torn last line of an interrupted append
-                raise CorruptStore(f"{path}:{lineno}: unreadable line") from exc
-            if zlib.crc32(_canonical_json(payload).encode()) != crc:
-                raise CorruptStore(f"{path}:{lineno}: checksum mismatch")
-            rec = ExtremalRecord.from_dict(payload)
-            if rec.key() in seen:
-                continue
-            seen.add(rec.key())
-            out.append(rec)
+    records, tail = _indexed(path)
+    out = list(records.values())
+    if tail is not None and tail.key() not in records:
+        out.append(tail)
     if kind is not None:
         out = [r for r in out if r.kind == kind]
     if size is not None:
@@ -105,6 +160,11 @@ def load_records(
 
 
 def lookup(path: str, kind: str, forbidden, size) -> Optional[ExtremalRecord]:
+    """The earliest record under (kind, forbidden, size), or None."""
     size = tuple(size) if isinstance(size, (tuple, list)) else (size,)
-    matches = load_records(path, kind=kind, size=size, forbidden=tuple(sorted(forbidden)))
-    return matches[0] if matches else None
+    key = (kind, tuple(sorted(forbidden)), size)
+    records, tail = _indexed(path)
+    hit = records.get(key)
+    if hit is None and tail is not None and tail.key() == key:
+        hit = tail
+    return hit

@@ -13,6 +13,10 @@ from hypothesis import strategies as st
 from edgeglue.cli import main
 
 
+# a store line whose checksum is valid but whose record has no fields
+MALFORMED_STORE = '{"crc32":2745614147,"record":{}}\n'
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -101,13 +105,18 @@ class TestExitCodes:
              "InvalidRootedPattern"),
             (("ex", "--n", "3", "--forbid", "c4", "--store", "DIR"), "IsADirectoryError"),
             (("ex", "--n", "3", "--forbid", "c4", "--store", "MISSING/x"), "FileNotFoundError"),
+            (("cache", "--store", "MALFORMED"), "CorruptStore"),
+            (("ex", "--n", "4", "--forbid", "c4", "--store", "MALFORMED"), "CorruptStore"),
+            (("cache", "--store", "NONUTF8"), "CorruptStore"),
         ],
     )
     def test_bad_input_is_exit_1_without_traceback(self, capsys, tmp_path, argv, error):
         (tmp_path / "nohost.json").write_text(json.dumps({"pattern": "Cr"}))
         (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "malformed.jsonl").write_text(MALFORMED_STORE)
+        (tmp_path / "nonutf8.jsonl").write_bytes(b"\xff\xfe\n")
         files = {"MISSING": "missing.json", "NOHOST": "nohost.json", "LIST": "list.json", "DIR": "",
-                 "MISSING/x": "missing/x"}
+                 "MISSING/x": "missing/x", "MALFORMED": "malformed.jsonl", "NONUTF8": "nonutf8.jsonl"}
         argv = [str(tmp_path / files[a]) if a in files else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -129,6 +138,7 @@ class TestExitCodes:
             ("supersat", "--host", "c4", "--pattern", "c4", "--root-edge", "0", "--seed", "0",
              "--per-edge-cap", "-1"),
             ("glue", "--a", "c4", "--ea", "-1", "--b", "c4", "--eb", "0"),
+            ("cache", "--store", "x", "--kind", "turn"),
         ],
     )
     def test_malformed_flag_value_is_exit_2(self, capsys, argv):
@@ -263,9 +273,10 @@ def fuzz_files(tmp_path_factory):
     (d / "garbage.json").write_text("{not json")
     (d / "list.json").write_text("[1, 2]")
     (d / "torn.jsonl").write_text('{"crc32": 1, "rec')
+    (d / "malformed.jsonl").write_text(MALFORMED_STORE)
     bad = [str(d), str(d / "missing" / "x.json"), str(d / "garbage.json")]
     return {
-        "STORE": [str(d / "store.jsonl"), str(d / "torn.jsonl"), ""] + bad,
+        "STORE": [str(d / "store.jsonl"), str(d / "torn.jsonl"), str(d / "malformed.jsonl"), ""] + bad,
         "FAMILY": [str(d / "list.json")] + bad,
     }
 

@@ -2,13 +2,18 @@
 
 import dataclasses
 import json
+import os
+import re
+import tempfile
+import zlib
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeglue import extremal
+from edgeglue import extremal, store
 from edgeglue.embed import is_free
 from edgeglue.errors import (
     CorruptStore,
@@ -466,3 +471,291 @@ class TestRecordStore:
 
     def test_empty_store(self, tmp_path):
         assert load_records(tmp_path / "missing.jsonl") == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {**exact_turan(4, [cycle(4)]).to_dict(), "size": 4},
+            [],
+            {**exact_turan(4, [cycle(4)]).to_dict(), "kind": []},
+        ],
+        ids=["no-fields", "size-not-a-list", "not-an-object", "unhashable-kind"],
+    )
+    def test_malformed_record_is_corruption(self, tmp_path, payload):
+        path_ = tmp_path / "records.jsonl"
+        store_record(path_, exact_turan(4, [cycle(4)]))
+        with path_.open("a") as fh:
+            fh.write(stored_line(payload))
+        with corrupt_at(path_, "2: malformed record"):
+            load_records(path_)
+        with corrupt_at(path_, "2: malformed record"):
+            lookup(path_, "turan", forbidden_certificates([cycle(4)]), (4,))
+
+    def test_unterminated_last_line_is_still_checked(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        store_record(path_, exact_turan(4, [cycle(4)]))
+        line = stored_line(exact_turan(5, [cycle(4)]).to_dict()).rstrip("\n")
+        with path_.open("a") as fh:
+            fh.write(line.replace('"method":"', '"method":"x', 1))
+        with corrupt_at(path_, "2: checksum mismatch"):
+            load_records(path_)
+
+    def test_unterminated_duplicate_is_dropped(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        first = exact_turan(4, [cycle(4)])
+        store_record(path_, first)
+        with path_.open("a") as fh:
+            fh.write(stored_line(dataclasses.replace(first, timestamp="later").to_dict()).rstrip("\n"))
+        assert load_records(path_) == [first]
+        assert lookup(path_, "turan", forbidden_certificates([cycle(4)]), (4,)) == first
+
+    def test_non_utf8_line(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        store_record(path_, exact_turan(4, [cycle(4)]))
+        with path_.open("ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert [r.size for r in load_records(path_)] == [(4,)]  # a torn last line
+        with path_.open("ab") as fh:
+            fh.write(b"\n")
+        with corrupt_at(path_, "2: unreadable line"):
+            load_records(path_)
+
+    def test_crlf_line_ends(self, tmp_path):
+        path_ = tmp_path / "records.jsonl"
+        store_record(path_, exact_turan(4, [cycle(4)]))
+        store_record(path_, exact_turan(5, [cycle(4)]))
+        path_.write_bytes(path_.read_bytes().replace(b"\n", b"\r\n"))
+        assert [r.size for r in load_records(path_)] == [(4,), (5,)]
+
+
+def corrupt_at(path_, where: str):
+    """pytest.raises for a CorruptStore whose message is exactly `path_:where`."""
+    return pytest.raises(CorruptStore, match=f"^{re.escape(f'{path_}:{where}')}$")
+
+
+def stored_line(payload) -> str:
+    """A store line for `payload` with a valid checksum, as `store_record`
+    writes it."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    line = {"crc32": zlib.crc32(body.encode()), "record": payload}
+    return json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestStoreReload:
+    """Load, change the file behind the store's back, load again."""
+
+    C4 = forbidden_certificates([cycle(4)])
+
+    @staticmethod
+    def sizes(path_):
+        return [r.size for r in load_records(path_)]
+
+    @staticmethod
+    def filled(path_, *ns):
+        for n in ns:
+            store_record(path_, exact_turan(n, [cycle(4)]))
+        return path_
+
+    def test_unchanged_lines_are_parsed_once(self, tmp_path):
+        path_ = self.filled(tmp_path / "records.jsonl", 3, 4, 5)
+        with mock.patch.object(
+            ExtremalRecord, "from_dict", side_effect=ExtremalRecord.from_dict
+        ) as from_dict:
+            for _ in range(3):
+                assert self.sizes(path_) == [(3,), (4,), (5,)]
+                assert lookup(path_, "turan", self.C4, (4,)).size == (4,)
+            assert from_dict.call_count == 3
+            self.filled(path_, 6)
+            assert self.sizes(path_) == [(3,), (4,), (5,), (6,)]
+            assert from_dict.call_count == 4
+
+    def test_raw_append_by_another_writer_is_seen(self, tmp_path):
+        path_ = self.filled(tmp_path / "records.jsonl", 4)
+        assert lookup(path_, "turan", self.C4, (5,)) is None
+        with path_.open("a") as fh:
+            fh.write(stored_line(exact_turan(5, [cycle(4)]).to_dict()))
+        assert lookup(path_, "turan", self.C4, (5,)).value == exact_turan(5, [cycle(4)]).value
+        assert self.sizes(path_) == [(4,), (5,)]
+
+    def test_same_size_checksum_edit_in_place(self, tmp_path, monkeypatch):
+        path_ = self.filled(tmp_path / "records.jsonl", 3, 4, 5)
+        assert self.sizes(path_) == [(3,), (4,), (5,)]
+        lines = [bytearray(x) for x in path_.read_bytes().split(b"\n")]
+        at = lines[1].index(b',"record":') - 1  # last digit of the checksum
+        lines[1][at] ^= 1  # '0' <-> '1', '2' <-> '3', ...
+        before = os.stat(path_)
+        with path_.open("r+b") as fh:
+            fh.write(b"\n".join(lines))
+        assert os.stat(path_).st_size == before.st_size
+        os.utime(path_, ns=(before.st_atime_ns, before.st_mtime_ns))  # same mtime tick
+        with pytest.raises(CorruptStore) as cached:
+            load_records(path_)
+        monkeypatch.setattr(store, "_INDEX", {})
+        with pytest.raises(CorruptStore) as fresh:
+            load_records(path_)
+        assert str(cached.value) == str(fresh.value) == f"{path_}:2: checksum mismatch"
+
+    def test_truncation_to_a_torn_line(self, tmp_path):
+        path_ = self.filled(tmp_path / "records.jsonl", 3, 4, 5)
+        assert self.sizes(path_) == [(3,), (4,), (5,)]
+        text = path_.read_bytes()
+        path_.write_bytes(text[: text.rindex(b"\n", 0, -1) - 10])
+        assert self.sizes(path_) == [(3,)]
+        assert lookup(path_, "turan", self.C4, (4,)) is None
+
+    def test_delete_and_recreate(self, tmp_path):
+        path_ = self.filled(tmp_path / "records.jsonl", 3, 4)
+        assert self.sizes(path_) == [(3,), (4,)]
+        path_.unlink()
+        assert self.sizes(path_) == []
+        self.filled(path_, 5)
+        assert self.sizes(path_) == [(5,)]
+        assert lookup(path_, "turan", self.C4, (3,)) is None
+
+    def test_replaced_by_a_shorter_file(self, tmp_path):
+        path_ = self.filled(tmp_path / "records.jsonl", 3, 4, 5)
+        assert self.sizes(path_) == [(3,), (4,), (5,)]
+        other = self.filled(tmp_path / "other.jsonl", 6)
+        os.replace(other, path_)
+        assert self.sizes(path_) == [(6,)]
+        assert lookup(path_, "turan", self.C4, (3,)) is None
+
+    def test_failed_parse_leaves_the_index_as_it_was(self, tmp_path):
+        path_ = self.filled(tmp_path / "records.jsonl", 3)
+        assert self.sizes(path_) == [(3,)]
+        indexed = path_.read_bytes()
+        with path_.open("a") as fh:  # a good line, then a bad one
+            fh.write(stored_line(exact_turan(4, [cycle(4)]).to_dict()) + "garbage\n")
+        with corrupt_at(path_, "3: unreadable line"):
+            load_records(path_)
+        path_.write_bytes(indexed)  # the good line goes too; the indexed lines stay
+        self.filled(path_, 5)
+        assert self.sizes(path_) == [(3,), (5,)]
+        assert lookup(path_, "turan", self.C4, (4,)) is None
+
+    def test_corrupt_file_raises_on_every_call(self, tmp_path):
+        path_ = self.filled(tmp_path / "records.jsonl", 3)
+        assert self.sizes(path_) == [(3,)]
+        with path_.open("a") as fh:
+            fh.write("garbage\n")
+        self.filled(path_, 4)
+        for _ in range(3):
+            with corrupt_at(path_, "2: unreadable line"):
+                load_records(path_)
+            with corrupt_at(path_, "2: unreadable line"):
+                lookup(path_, "turan", self.C4, (3,))
+        path_.write_text(path_.read_text().replace("garbage\n", ""))
+        assert self.sizes(path_) == [(3,), (4,)]
+
+
+def reference_load(path_) -> list[ExtremalRecord]:
+    """The store's reading rules, parsed the plain way: the whole file in text
+    mode, line by line, on every call."""
+    if not os.path.exists(path_):
+        return []
+    out, seen = [], set()
+    with open(path_, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                payload, crc = obj["record"], obj["crc32"]
+            except (ValueError, KeyError, TypeError) as exc:
+                if not raw.endswith("\n"):
+                    break  # torn last line
+                raise CorruptStore(f"{path_}:{lineno}: unreadable line") from exc
+            body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            if zlib.crc32(body.encode()) != crc:
+                raise CorruptStore(f"{path_}:{lineno}: checksum mismatch")
+            try:
+                rec = ExtremalRecord.from_dict(payload)
+                new = rec.key() not in seen
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptStore(f"{path_}:{lineno}: malformed record") from exc
+            if new:
+                seen.add(rec.key())
+                out.append(rec)
+    return out
+
+
+def _outcome(load, path_):
+    try:
+        return load(path_)
+    except CorruptStore as exc:
+        return str(exc)
+
+
+STORE_RECORDS = [exact_turan(n, [cycle(4)]) for n in (3, 4, 5)] + [
+    exact_zarankiewicz(2, 3, signed_cycle(4)),
+    dataclasses.replace(exact_turan(4, [cycle(4)]), timestamp="later"),
+]
+RAW_LINES = [stored_line(r.to_dict()).encode() for r in STORE_RECORDS] + [
+    stored_line({}).encode(),
+    stored_line({**STORE_RECORDS[0].to_dict(), "kind": []}).encode(),
+    b"garbage\n",
+    b"\n",
+    b" \t\n",
+]
+# ASCII only: text mode would also break a line at a bare "\r" and fail on
+# bytes that are not UTF-8, where the store reads lines ending at "\n"
+# (test_crlf_line_ends, test_non_utf8_line)
+FLIP_BYTES = [b for b in range(0x20, 0x7F)] + [0x0A]
+POSITIONS = st.integers(-300, -1) | st.integers(0, 10**4)
+STORE_STEPS = st.one_of(
+    st.tuples(st.just("store"), st.integers(0, len(STORE_RECORDS) - 1)),
+    # raw lines by another writer, the last one cut at `cut` (-1: no newline)
+    st.tuples(
+        st.just("append"),
+        st.lists(st.sampled_from(RAW_LINES), min_size=1, max_size=3),
+        st.none() | st.just(-1) | st.integers(0, 300),
+    ),
+    st.tuples(st.just("tear"), st.integers(0, 300)),
+    # at any byte, or near the end: a negative position counts from there
+    st.tuples(st.just("flip"), POSITIONS, st.sampled_from(FLIP_BYTES)),
+    st.tuples(st.just("truncate"), POSITIONS),
+    st.tuples(st.just("delete")),
+)
+
+
+def apply_step(path_, step):
+    op, *args = step
+    data = bytearray(path_.read_bytes()) if path_.exists() else bytearray()
+    if op == "store":
+        store_record(path_, STORE_RECORDS[args[0]])
+        return
+    if op == "delete":
+        if path_.exists():
+            path_.unlink()
+        return
+    if op == "append":
+        lines, cut = args
+        data += b"".join(lines[:-1]) + lines[-1][:cut]
+    elif op == "tear":  # cut the last line short
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        del data[start + args[0] % max(1, len(data) - start) :]
+    elif op == "flip" and data:
+        data[args[0] % len(data)] = args[1]
+    elif op == "truncate":
+        del data[args[0] % (len(data) + 1) :]
+    path_.write_bytes(data)
+
+
+class TestStoreAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(STORE_STEPS, max_size=20))
+    def test_every_step_matches_a_full_text_parse(self, steps):
+        with tempfile.TemporaryDirectory() as d:
+            path_ = Path(d) / "records.jsonl"
+            for step in steps:
+                apply_step(path_, step)
+                expected = _outcome(reference_load, path_)
+                assert _outcome(load_records, path_) == expected, step
+                for rec in STORE_RECORDS:
+                    hit = _outcome(lambda p: lookup(p, rec.kind, rec.forbidden, rec.size), path_)
+                    if isinstance(expected, str):
+                        assert hit == expected, step
+                    else:
+                        assert hit == next((r for r in expected if r.key() == rec.key()), None), step
