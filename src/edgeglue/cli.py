@@ -22,6 +22,7 @@ from . import bounds, constructions, extremal, gluing, store, supersat
 from .errors import EdgeGlueError, EdgeNotInGraph, InvalidRootedPattern, ParseError
 from .graphs import (
     LabeledGraph,
+    SignedBipartiteGraph,
     decode_graph6,
     encode_graph6,
     parse_graph,
@@ -274,11 +275,29 @@ def cmd_verify(args) -> int:
             frozenset(tuple(e) for e in payload["root_edges"]),
             tuple(payload["distinguished_edge"]),
         )
-        members = [Embedding(pattern, host, tuple(m)) for m in payload["members"]]
-    except (KeyError, TypeError) as exc:
+        members = []
+        for m in payload["members"]:
+            if not (isinstance(m, list) and all(type(v) is int for v in m)):
+                raise TypeError(f"member {m!r} is not a list of ints")
+            members.append(Embedding(pattern, host, tuple(m)))
+        signed = [None, None]
+        if "signed_host" in payload:
+            signed = [
+                SignedBipartiteGraph.from_json(json.dumps(payload[k]))
+                for k in ("signed_host", "signed_pattern")
+            ]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"family file lacks a field or has the wrong shape: {exc!r}") from exc
+    if signed[0] is not None and [g.as_unsigned() for g in signed] != [host, pattern]:
+        raise ParseError("signed_host or signed_pattern does not flatten to host or pattern")
     fam = supersat.BalancedFamily(
-        host=host, pattern=p, members=members, edge_degrees={}, pair_degrees={}
+        host=host,
+        pattern=p,
+        members=members,
+        edge_degrees={},
+        pair_degrees={},
+        signed_host=signed[0],
+        signed_pattern=signed[1],
     )
     caps = supersat.FamilyConstraints(
         per_edge_cap=args.per_edge_cap, per_pair_cap=args.per_pair_cap
@@ -289,6 +308,8 @@ def cmd_verify(args) -> int:
             "size": report.size,
             "edge_violations": len(report.edge_violations),
             "pair_violations": len(report.pair_violations),
+            "invalid_members": len(report.invalid_members),
+            "repeated_members": len(report.repeated_members),
         }
     )
     return 0

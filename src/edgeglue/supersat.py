@@ -4,9 +4,18 @@ A balanced family is a set of embeddings of a pattern H into a host G with
 two multiplicity caps: no host edge is the image of the distinguished
 pattern edge too often (per-edge cap), and no rooted copy psi of the
 subforest F extends through any fixed extra vertex u too often (per-pair
-cap).  The builder recruits embeddings greedily in a deterministic order;
-because both degree maps only ever grow, a single pass is maximal: any
-embedding rejected once stays unrecruitable.
+cap).  The builder recruits embeddings greedily in a deterministic order:
+grouped by the host edge e the distinguished edge lands on, both
+orientations of e, lexicographic inside each.  Because both degree maps only
+ever grow, a single pass is maximal: any embedding rejected once stays
+unrecruitable.
+
+The same monotonicity lets the candidate stream skip work.  Once e is at
+the per-edge cap, no embedding through e can be recruited, so the rest of
+e's group is never enumerated.  The builder and remaining_recruitable share
+that stream, and every embedding it yields still goes through the full cap
+test, so the members and the maximality report are exactly those of a
+stream over every embedding.
 """
 
 from __future__ import annotations
@@ -126,23 +135,36 @@ def _recruit(fam: BalancedFamily, emb: Embedding) -> None:
     fam.members.append(emb)
 
 
-def _candidate_stream(host, pattern, f, edge_order, pattern_colors, host_colors):
-    """Embeddings grouped by the host edge the distinguished edge lands on."""
-    a, b = f
-    for (x, y) in edge_order:
+def _candidate_stream(fam: BalancedFamily, c: FamilyConstraints, edge_order):
+    """Embeddings grouped by the host edge e the distinguished edge lands on,
+    both orientations of e, lexicographic inside each orientation.
+
+    A group is skipped, or left at once, when e is at the per-edge cap: the
+    degree is read before each orientation and after every yield, so a
+    consumer that recruits between yields is seen at once.  Skipping is
+    exact because degrees only grow and _recruitable rejects an embedding
+    whose image edge is at the cap before it looks at anything else.
+    """
+    a, b = fam.pattern.distinguished_edge
+    pc = hc = None
+    if fam.signed_host is not None:
+        pc, hc = fam.signed_pattern.colors, fam.signed_host.colors
+    cap, degrees = c.per_edge_cap, fam.edge_degrees
+    for e in edge_order:
+        x, y = e
         for fixed in ({a: x, b: y}, {a: y, b: x}):
-            if pattern_colors is not None and any(
-                pattern_colors[pv] != host_colors[hv] for pv, hv in fixed.items()
-            ):
+            if cap is not None and degrees.get(e, 0) >= cap:
+                break
+            if pc is not None and (pc[a] != hc[fixed[a]] or pc[b] != hc[fixed[b]]):
                 continue
-            yield from _backtrack(pattern, host, fixed, pattern_colors, host_colors, None)
+            for emb in _backtrack(fam.pattern.pattern, fam.host, fixed, pc, hc, None):
+                yield emb
+                if cap is not None and degrees.get(e, 0) >= cap:
+                    break
 
 
-def _build(fam, c, edge_order, pattern_colors=None, host_colors=None) -> BalancedFamily:
-    f = fam.pattern.distinguished_edge
-    for emb in _candidate_stream(
-        fam.host, fam.pattern.pattern, f, edge_order, pattern_colors, host_colors
-    ):
+def _build(fam: BalancedFamily, c: FamilyConstraints, edge_order) -> BalancedFamily:
+    for emb in _candidate_stream(fam, c, edge_order):
         if c.target_size is not None and fam.size >= c.target_size:
             break
         if _recruitable(fam, c, emb):
@@ -164,11 +186,13 @@ def build_balanced_family(
     c: FamilyConstraints,
     sampler: Optional[SeededSampler] = None,
 ) -> BalancedFamily:
-    """Greedy recruitment loop over all embeddings of the pattern.
+    """Greedy recruitment loop over the embeddings of the pattern.
 
     Embeddings are visited grouped by the host edge the distinguished edge
     maps to (optionally a seeded shuffle of that edge order) and
-    lexicographically inside each group.
+    lexicographically inside each group.  A group whose edge is at the
+    per-edge cap is left unvisited; the members are those of a visit of
+    every embedding.
     """
     if p.distinguished_edge is None:
         raise InvalidRootedPattern("builder needs a distinguished edge")
@@ -198,7 +222,7 @@ def build_signed_balanced_family(
         signed_host=g,
         signed_pattern=h,
     )
-    return _build(fam, c, _edge_order(flat_g, sampler), h.colors, g.colors)
+    return _build(fam, c, _edge_order(flat_g, sampler))
 
 
 @dataclass(frozen=True)
@@ -206,12 +230,37 @@ class FamilyReport:
     size: int
     edge_violations: tuple
     pair_violations: tuple
+    invalid_members: tuple  # (member index, reason) for maps that are not embeddings
+    repeated_members: tuple  # indices of members equal to an earlier member
     property1_target: Optional[float]
     property1_met: Optional[bool]
 
     @property
     def violation_count(self) -> int:
-        return len(self.edge_violations) + len(self.pair_violations)
+        return (
+            len(self.edge_violations)
+            + len(self.pair_violations)
+            + len(self.invalid_members)
+            + len(self.repeated_members)
+        )
+
+
+def _member_fault(fam: BalancedFamily, emb: Embedding) -> Optional[str]:
+    """Why emb is not an embedding of fam's pattern into its host, or None."""
+    m, h, g = emb.map, fam.pattern.pattern, fam.host
+    if len(m) != h.vertex_count:
+        return "wrong length"
+    if not all(isinstance(u, int) and 0 <= u < g.vertex_count for u in m):
+        return "vertex out of range"
+    if len(set(m)) != len(m):
+        return "not injective"
+    if not all(g.has_edge(m[a], m[b]) for a, b in h.edges):
+        return "not edge-preserving"
+    if fam.signed_host is not None:
+        pc, hc = fam.signed_pattern.colors, fam.signed_host.colors
+        if any(pc[v] != hc[u] for v, u in enumerate(m)):
+            return "crosses sides"
+    return None
 
 
 def verify_family(
@@ -219,11 +268,23 @@ def verify_family(
     c: FamilyConstraints,
     property1_target: Optional[float] = None,
 ) -> FamilyReport:
-    """Recompute all degrees from scratch and list every cap violation."""
+    """Recompute all degrees from the member list and list every cap violation,
+    every member that is not an embedding and every repeated member.
+    Degrees count the valid members, repeats included."""
     f = fam.pattern.distinguished_edge
     edge_deg: dict = {}
     pair_deg: dict = {}
-    for emb in fam.members:
+    invalid = []
+    repeated = []
+    seen = set()
+    for i, emb in enumerate(fam.members):
+        fault = _member_fault(fam, emb)
+        if fault is not None:
+            invalid.append((i, fault))
+            continue
+        if emb.map in seen:
+            repeated.append(i)
+        seen.add(emb.map)
         e = emb.image_edge(f)
         edge_deg[e] = edge_deg.get(e, 0) + 1
         psi = fam.psi_of(emb)
@@ -248,32 +309,28 @@ def verify_family(
         size=fam.size,
         edge_violations=edge_bad,
         pair_violations=pair_bad,
+        invalid_members=tuple(invalid),
+        repeated_members=tuple(repeated),
         property1_target=property1_target,
         property1_met=met,
     )
 
 
 def remaining_recruitable(fam: BalancedFamily, c: FamilyConstraints) -> list[Embedding]:
-    """Exhaustive maximality check: embeddings not in the family that the
-    caps would still admit.  Empty for a greedy build with no target cap."""
+    """Maximality check: the embeddings outside the family that the caps
+    would still admit, in stream order over the host's sorted edges.
+
+    Empty for a greedy build with no target size.  It reads the degree maps
+    kept on fam.  Host-edge groups whose per-edge degree is at the cap are
+    skipped unseen, which is exact: every embedding in such a group fails
+    the per-edge test of _recruitable.
+    """
     in_family = {m.map for m in fam.members}
-    pc = hc = None
-    if fam.signed_host is not None:
-        pc, hc = fam.signed_pattern.colors, fam.signed_host.colors
-    out = []
-    for emb in _candidate_stream(
-        fam.host,
-        fam.pattern.pattern,
-        fam.pattern.distinguished_edge,
-        list(fam.host.sorted_edges),
-        pc,
-        hc,
-    ):
-        if emb.map in in_family:
-            continue
-        if _recruitable(fam, c, emb):
-            out.append(emb)
-    return out
+    return [
+        emb
+        for emb in _candidate_stream(fam, c, fam.host.sorted_edges)
+        if emb.map not in in_family and _recruitable(fam, c, emb)
+    ]
 
 
 def heavy_light_split(degrees: dict, threshold) -> tuple[dict, dict, int]:

@@ -188,6 +188,65 @@ class TestSeededCommands:
         assert code == 0
         report = json.loads(out2)
         assert report["edge_violations"] == 0 and report["pair_violations"] == 0
+        assert report["invalid_members"] == 0 and report["repeated_members"] == 0
+
+    @staticmethod
+    def _k33_family(capsys):
+        _, out, _ = run(
+            capsys, "supersat", "--host", "k3,3", "--pattern", "c4", "--root-edge", "0",
+            "--seed", "0",
+        )
+        return json.loads(out.splitlines()[1])
+
+    @pytest.mark.parametrize(
+        "member, field",
+        [
+            ([0, 3], "invalid_members"),  # short map
+            ([0, 3, 1, 99], "invalid_members"),  # vertex out of range
+            ([0, 3, 0, 4], "invalid_members"),  # not injective
+            ([0, 1, 2, 3], "invalid_members"),  # edge (0, 1) lands on a non-edge
+            ("repeat", "repeated_members"),
+        ],
+    )
+    def test_verify_counts_members_that_are_not_distinct_embeddings(
+        self, capsys, tmp_path, member, field
+    ):
+        family = self._k33_family(capsys)
+        family["members"][1] = family["members"][0] if member == "repeat" else member
+        fam_file = tmp_path / "family.json"
+        fam_file.write_text(json.dumps(family))
+        code, out, _ = run(capsys, "verify", "--family", str(fam_file))
+        assert code == 0
+        report = json.loads(out)
+        assert report[field] == 1
+        assert report["size"] == len(family["members"])
+
+    def test_verify_checks_sides_of_a_signed_family(self, capsys, tmp_path):
+        from edgeglue.graphs import signed_complete_bipartite, signed_cycle
+        from edgeglue.supersat import FamilyConstraints, build_signed_balanced_family
+
+        fam = build_signed_balanced_family(
+            signed_complete_bipartite(3, 3), signed_cycle(4), (0, 0), FamilyConstraints()
+        )
+        family = json.loads(fam.to_json())
+        fam_file = tmp_path / "family.json"
+        fam_file.write_text(json.dumps(family))
+        code, out, _ = run(capsys, "verify", "--family", str(fam_file))
+        assert code == 0 and json.loads(out)["invalid_members"] == 0
+        family["members"][0] = [3, 4, 0, 1]  # the flat C4, + side sent to -
+        fam_file.write_text(json.dumps(family))
+        code, out, _ = run(capsys, "verify", "--family", str(fam_file))
+        assert code == 0 and json.loads(out)["invalid_members"] == 1
+
+    @pytest.mark.parametrize("member", ["abcd", [0, 3, 1, True], [0, 3, 1, 4.0], 7])
+    def test_verify_rejects_a_member_that_is_not_a_list_of_ints(self, capsys, tmp_path, member):
+        family = self._k33_family(capsys)
+        family["members"][0] = member
+        fam_file = tmp_path / "family.json"
+        fam_file.write_text(json.dumps(family))
+        code, _, err = run(capsys, "verify", "--family", str(fam_file))
+        assert code == 1
+        assert json.loads(err)["error"] == "ParseError"
 
 
 class TestCache:
@@ -274,10 +333,20 @@ def fuzz_files(tmp_path_factory):
     (d / "list.json").write_text("[1, 2]")
     (d / "torn.jsonl").write_text('{"crc32": 1, "rec')
     (d / "malformed.jsonl").write_text(MALFORMED_STORE)
+    # a C4 family in K3,3, then copies with one field or member broken
+    family = {"distinguished_edge": [0, 1], "host": "EFz_", "members": [[0, 3, 1, 4]],
+              "pattern": "Cr", "root_edges": [[0, 1]], "roots": [0, 1]}
+    changes = [{}, {"host": 5}, {"members": [[0, 3]]}, {"members": ["abcd"]},
+               {"members": [[0, 1, 2, 3], [0, 3, 1, 4]]}, {"distinguished_edge": None},
+               {"signed_host": {"plus": 3, "minus": 3, "edges": [[0, 0]]}}]
+    families = []
+    for i, change in enumerate(changes):
+        (d / f"family{i}.json").write_text(json.dumps({**family, **change}))
+        families.append(str(d / f"family{i}.json"))
     bad = [str(d), str(d / "missing" / "x.json"), str(d / "garbage.json")]
     return {
         "STORE": [str(d / "store.jsonl"), str(d / "torn.jsonl"), str(d / "malformed.jsonl"), ""] + bad,
-        "FAMILY": [str(d / "list.json")] + bad,
+        "FAMILY": [str(d / "list.json")] + families + bad,
     }
 
 

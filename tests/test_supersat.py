@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from edgeglue.constructions import SeededSampler
-from edgeglue.embed import count_embeddings
+from edgeglue.embed import Embedding, count_embeddings
 from edgeglue.errors import (
     EmptyCandidateSet,
     InvalidRootedPattern,
@@ -132,6 +132,47 @@ class TestVerify:
         caps = FamilyConstraints(per_edge_cap=2, per_pair_cap=1)
         fam = build_balanced_family(complete_bipartite(3, 3), C4_ROOTED, caps)
         assert verify_family(fam, caps).violation_count == 0
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ((0, 3), "wrong length"),
+            ((0, 3, 1, 99), "vertex out of range"),
+            ((0, 3, 1, -1), "vertex out of range"),
+            ((0, 3, 0, 4), "not injective"),
+            ((0, 1, 2, 3), "not edge-preserving"),
+        ],
+    )
+    def test_member_that_is_not_an_embedding_is_listed(self, bad, reason):
+        host = complete_bipartite(3, 3)
+        fam = build_balanced_family(host, C4_ROOTED, UNCAPPED)
+        fam.members[5] = Embedding(cycle(4), host, bad)
+        report = verify_family(fam, FamilyConstraints(per_edge_cap=8))
+        assert report.invalid_members == ((5, reason),)
+        assert report.violation_count == 1
+        # the invalid member adds no degree: (0, 3) carries 8 valid members
+        assert report.edge_violations == ()
+
+    def test_repeated_member_is_listed_and_counted(self):
+        host = complete_bipartite(3, 3)
+        fam = build_balanced_family(host, C4_ROOTED, UNCAPPED)
+        fam.members.append(fam.members[2])
+        report = verify_family(fam, FamilyConstraints(per_edge_cap=8))
+        assert report.repeated_members == (72,)
+        assert report.invalid_members == ()
+        assert report.edge_violations == (((0, 3), 9),)
+        assert report.violation_count == 2
+
+    def test_signed_member_crossing_sides_is_listed(self):
+        host = signed_complete_bipartite(3, 3)
+        caps = FamilyConstraints(per_edge_cap=2, per_pair_cap=1)
+        fam = build_signed_balanced_family(host, signed_cycle(4), (0, 0), caps)
+        assert verify_family(fam, caps).violation_count == 0
+        # + vertices 0, 1 of C4 sent to - vertices of the host: an unsigned
+        # embedding of the flat C4, but not a signed one
+        emb = fam.members[0]
+        fam.members[0] = Embedding(emb.pattern, emb.host, (3, 4, 0, 1))
+        assert verify_family(fam, UNCAPPED).invalid_members == ((0, "crosses sides"),)
 
     def test_family_json_round_trips_members(self):
         import json
