@@ -40,6 +40,7 @@ from .embed import (
     Embedding,
     count_copies,
     count_embeddings,
+    enumerate_copies,
     enumerate_embeddings,
     enumerate_extensions,
     is_free,

@@ -1,4 +1,4 @@
-"""Injective edge-preserving maps of a pattern into a host.
+"""Injective edge-preserving maps of a pattern into a host, and its copies.
 
 Embeddings are labeled: the map sends pattern vertex i to a distinct host
 vertex, and every pattern edge lands on a host edge (non-induced).  Signed
@@ -6,6 +6,22 @@ embeddings additionally keep the + side of the pattern inside the + side of
 the host.  Enumeration is a bitset backtracker that assigns pattern vertices
 in index order with ascending candidates, so the stream is lexicographic on
 the map tuple.
+
+A copy of H is the image of an embedding, and every copy is the image of
+exactly |Aut(H)| embeddings: f and f∘σ for the automorphisms σ.
+`enumerate_copies` yields one embedding per copy, the lexicographically least
+map of its Aut(H)-orbit, by symmetry-breaking conditions (Grochow & Kellis,
+"Network motif discovery using subgraph enumeration and symmetry-breaking",
+RECOMB 2007).  Take the stabiliser chain over the pattern vertices in index
+order: for each v, the orbit O_v of v under the automorphisms that fix
+0..v-1.  A least map f sends v below every other member of O_v, since some
+automorphism fixing 0..v-1 swaps any w in O_v into place v and would
+otherwise give a smaller map; conversely the conditions f(v) < f(w), for
+every v and every w in O_v other than v, pick that least map out of each
+orbit.  The backtracker applies them as lower bounds on the candidates of w,
+because v < w is placed first, so the copies come in lexicographic order.
+By orbit-stabilizer the product of the |O_v| is |Aut(H)|, which
+`count_copies` checks against the canonical search in `canon`.
 """
 
 from __future__ import annotations
@@ -52,7 +68,13 @@ def _backtrack(
     pattern_colors: Optional[Sequence[int]],
     host_colors: Optional[Sequence[int]],
     limit: Optional[int],
+    conditions: Sequence[tuple[int, int]] = (),
 ) -> Iterator[Embedding]:
+    """Embeddings extending fixed, which is trusted to embed its own pairs.
+
+    Each condition (v, w) asks map[v] < map[w]; v must be fixed or come
+    before w in index order, so it is placed when w's candidates are drawn.
+    """
     pn, hn = pattern.vertex_count, host.vertex_count
     if pn > hn:
         return
@@ -65,9 +87,14 @@ def _backtrack(
         used |= 1 << u
     full_mask = (1 << hn) - 1
     yielded = 0
+    below: list[list[int]] = [[] for _ in range(pn)]
+    for v, w in conditions:
+        below[w].append(v)
 
     def candidates(v: int) -> Iterator[int]:
         mask = full_mask & ~used
+        for a in below[v]:
+            mask &= -2 << image[a]  # host vertices above image[a]
         # intersect host neighborhoods of already-placed pattern neighbors
         m = padj[v]
         while m:
@@ -109,12 +136,9 @@ def _backtrack(
             return
 
 
-def enumerate_embeddings(h, g, limit: Optional[int] = None) -> Iterator[Embedding]:
-    """Every injective edge-preserving map of h into g, lexicographic order.
-
-    Both arguments unsigned LabeledGraphs, or both SignedBipartiteGraphs
-    (then the map preserves sides, expressed on the flattened vertex sets).
-    """
+def _flatten(h, g):
+    """(pattern, host, pattern colours, host colours) on flattened vertex sets;
+    the colours are None for unsigned graphs."""
     if isinstance(h, SignedBipartiteGraph) != isinstance(g, SignedBipartiteGraph):
         raise TypeError("pattern and host must both be signed or both unsigned")
     if isinstance(h, SignedBipartiteGraph):
@@ -123,6 +147,16 @@ def enumerate_embeddings(h, g, limit: Optional[int] = None) -> Iterator[Embeddin
     else:
         pc = hc = None
     _check_caps(h.vertex_count, g.vertex_count)
+    return h, g, pc, hc
+
+
+def enumerate_embeddings(h, g, limit: Optional[int] = None) -> Iterator[Embedding]:
+    """Every injective edge-preserving map of h into g, lexicographic order.
+
+    Both arguments unsigned LabeledGraphs, or both SignedBipartiteGraphs
+    (then the map preserves sides, expressed on the flattened vertex sets).
+    """
+    h, g, pc, hc = _flatten(h, g)
     yield from _backtrack(h, g, {}, pc, hc, limit)
 
 
@@ -130,16 +164,71 @@ def count_embeddings(h, g) -> int:
     return sum(1 for _ in enumerate_embeddings(h, g))
 
 
+def _extends_to_automorphism(
+    h: LabeledGraph, colors: Optional[Sequence[int]], fixed: dict[int, int]
+) -> bool:
+    """True iff some colour-preserving automorphism of h agrees with fixed.
+
+    _backtrack trusts fixed, so the pairs are checked here first: their
+    colours, and the pattern edges between fixed vertices.  An injective
+    edge-preserving map of h into itself is an automorphism.
+    """
+    if colors is not None and any(colors[v] != colors[u] for v, u in fixed.items()):
+        return False
+    for a, b in h.edges:
+        if a in fixed and b in fixed and not h.has_edge(fixed[a], fixed[b]):
+            return False
+    return next(_backtrack(h, h, fixed, colors, colors, 1), None) is not None
+
+
+def _symmetry_conditions(
+    h: LabeledGraph, colors: Optional[Sequence[int]]
+) -> tuple[list[tuple[int, int]], int]:
+    """The stabiliser-chain conditions (v, w), meaning map[v] < map[w], and
+    the product of the orbit sizes, which is |Aut(h)|."""
+    conditions = []
+    order = 1
+    for v in range(h.vertex_count):
+        fixed = {u: u for u in range(v)}
+        orbit = [
+            w
+            for w in range(v + 1, h.vertex_count)
+            if _extends_to_automorphism(h, colors, {**fixed, v: w})
+        ]
+        conditions += [(v, w) for w in orbit]
+        order *= 1 + len(orbit)
+    return conditions, order
+
+
+def _copy_stream(h, g) -> tuple[int, Iterator[Embedding]]:
+    """The orbit-size product of h's stabiliser chain, and the stream of the
+    maps that meet its conditions."""
+    h, g, pc, hc = _flatten(h, g)
+    conditions, order = _symmetry_conditions(h, pc)
+    return order, _backtrack(h, g, {}, pc, hc, None, conditions)
+
+
+def enumerate_copies(h, g) -> Iterator[Embedding]:
+    """One embedding per copy of h in g, the lexicographically least map of
+    its Aut(h)-orbit; the stream is in lexicographic order.  Arguments as for
+    enumerate_embeddings."""
+    yield from _copy_stream(h, g)[1]
+
+
 def count_copies(h, g) -> int:
-    """Unlabeled copies: embeddings divided by the automorphism count."""
-    total = count_embeddings(h, g)
+    """Unlabeled copies of h in g, counted on the enumerate_copies stream.
+
+    The orbit sizes behind its conditions must multiply to the |Aut(h)| of
+    the canonical search, else InvariantViolation.
+    """
     if isinstance(h, SignedBipartiteGraph):
         aut = signed_automorphism_count(h)
     else:
         aut = automorphism_count(h)
-    if total % aut:
-        raise InvariantViolation(f"{total} embeddings is not a multiple of |Aut| = {aut}")
-    return total // aut
+    order, copies = _copy_stream(h, g)
+    if order != aut:
+        raise InvariantViolation(f"stabiliser chain gives |Aut| = {order}, canonical search {aut}")
+    return sum(1 for _ in copies)
 
 
 def is_free(g, h) -> bool:

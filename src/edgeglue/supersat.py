@@ -21,7 +21,7 @@ stream over every embedding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -320,16 +320,20 @@ def remaining_recruitable(fam: BalancedFamily, c: FamilyConstraints) -> list[Emb
     """Maximality check: the embeddings outside the family that the caps
     would still admit, in stream order over the host's sorted edges.
 
-    Empty for a greedy build with no target size.  It reads the degree maps
-    kept on fam.  Host-edge groups whose per-edge degree is at the cap are
-    skipped unseen, which is exact: every embedding in such a group fails
-    the per-edge test of _recruitable.
+    Empty for a greedy build with no target size.  The degrees are
+    recomputed from fam.members, so a family rebuilt from its members alone
+    is judged like the built one; fam is not changed.  Host-edge groups
+    whose per-edge degree is at the cap are skipped unseen, which is exact:
+    every embedding in such a group fails the per-edge test of _recruitable.
     """
+    counted = replace(fam, members=[], edge_degrees={}, pair_degrees={})
+    for emb in fam.members:
+        _recruit(counted, emb)
     in_family = {m.map for m in fam.members}
     return [
         emb
-        for emb in _candidate_stream(fam, c, fam.host.sorted_edges)
-        if emb.map not in in_family and _recruitable(fam, c, emb)
+        for emb in _candidate_stream(counted, c, fam.host.sorted_edges)
+        if emb.map not in in_family and _recruitable(counted, c, emb)
     ]
 
 

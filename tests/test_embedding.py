@@ -1,21 +1,29 @@
 """Embedding enumeration, copy counting, rooted extensions, and freeness."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgeglue.canon import automorphism_count
+from edgeglue import embed
+from edgeglue.canon import automorphism_count, signed_automorphism_count
 from edgeglue.embed import (
     count_copies,
     count_embeddings,
     count_embeddings_naive,
+    enumerate_copies,
     enumerate_embeddings,
     enumerate_extensions,
     is_free,
 )
-from edgeglue.errors import InvalidPartialMap, InvalidRootedPattern
+from edgeglue.errors import InvalidPartialMap, InvalidRootedPattern, InvariantViolation
 from edgeglue.gluing import RootedPattern, edge_rooted
 from edgeglue.graphs import (
     LabeledGraph,
+    SignedBipartiteGraph,
+    complete,
     complete_bipartite,
     cycle,
     path,
@@ -80,6 +88,96 @@ class TestCountCopies:
                 count_copies(h, g) * automorphism_count(h)
                 == count_embeddings(h, g)
             )
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return LabeledGraph(n, edges)
+
+
+@st.composite
+def signed_graphs(draw, max_side):
+    m = draw(st.integers(min_value=0, max_value=max_side))
+    n = draw(st.integers(min_value=0, max_value=max_side))
+    cells = [(p, q) for p in range(m) for q in range(n)]
+    edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return SignedBipartiteGraph(m, n, edges)
+
+
+def orbit_least_maps(h, g) -> list[tuple[int, ...]]:
+    """The embeddings of h into g that are least in their Aut(h)-orbit, with
+    the automorphisms found by trying every permutation of h's vertices."""
+    colors = None
+    if isinstance(h, SignedBipartiteGraph):
+        colors = h.colors
+        flat = h.as_unsigned()
+    else:
+        flat = h
+    k = flat.vertex_count
+    aut = [
+        s
+        for s in permutations(range(k))
+        if all(flat.has_edge(s[a], s[b]) for a, b in flat.edges)
+        and (colors is None or all(colors[s[v]] == colors[v] for v in range(k)))
+    ]
+    least, seen = [], set()
+    for emb in enumerate_embeddings(h, g):  # lexicographic: orbits start at their least map
+        if emb.map not in seen:
+            least.append(emb.map)
+            seen.update(tuple(emb.map[s[v]] for v in range(k)) for s in aut)
+    return least
+
+
+C4_PLUS_ISOLATED = LabeledGraph(5, cycle(4).edges)
+
+
+class TestEnumerateCopies:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=6), graphs(max_n=8))
+    def test_stream_is_the_orbit_least_embeddings(self, h, g):
+        copies = list(enumerate_copies(h, g))
+        assert [e.map for e in copies] == orbit_least_maps(h, g)
+        assert count_copies(h, g) == len(copies)
+        assert count_copies(h, g) * automorphism_count(h) == count_embeddings_naive(h, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_graphs(max_side=3), signed_graphs(max_side=4))
+    def test_signed_stream_is_the_orbit_least_embeddings(self, h, g):
+        copies = list(enumerate_copies(h, g))
+        assert [e.map for e in copies] == orbit_least_maps(h, g)
+        assert count_copies(h, g) * signed_automorphism_count(h) == count_embeddings(h, g)
+
+    def test_isolated_vertex_and_disconnected_patterns(self):
+        assert count_copies(C4_PLUS_ISOLATED, complete(6)) == 45 * 2
+        two_k2 = LabeledGraph(4, [(0, 1), (2, 3)])
+        assert count_copies(two_k2, complete(5)) == 15
+
+    def test_stream_is_lexicographic_with_one_map_per_copy(self):
+        copies = list(enumerate_copies(cycle(6), complete(7)))
+        maps = [e.map for e in copies]
+        assert maps == sorted(maps)
+        images = {frozenset(e.image_edge(f) for f in e.pattern.edges) for e in copies}
+        assert len(images) == len(copies) == count_embeddings(cycle(6), complete(7)) // 12
+
+    def test_unchecked_orbit_search_is_caught(self, monkeypatch):
+        """Without the edge check on the fixed pairs, the orbit search maps
+        the C4's last vertex onto the isolated one; the orbit sizes then
+        multiply to 16, not |Aut| = 8."""
+
+        def skip_edge_check(h, colors, fixed):
+            return next(embed._backtrack(h, h, fixed, colors, colors, 1), None) is not None
+
+        monkeypatch.setattr(embed, "_extends_to_automorphism", skip_edge_check)
+        with pytest.raises(InvariantViolation):
+            count_copies(C4_PLUS_ISOLATED, complete(6))
+
+    def test_disagreeing_automorphism_count_is_caught(self, monkeypatch):
+        monkeypatch.setattr(embed, "automorphism_count", lambda h: 4)
+        with pytest.raises(InvariantViolation):
+            count_copies(cycle(4), complete(5))
 
 
 class TestExtensions:

@@ -59,6 +59,22 @@ class TestBuilder:
         assert max(fam.edge_degrees.values()) <= 2
         assert remaining_recruitable(fam, caps) == []
 
+    def test_maximality_recomputes_degrees_from_members(self):
+        caps = FamilyConstraints(per_edge_cap=2)
+        fam = build_balanced_family(complete_bipartite(3, 3), C4_ROOTED, caps)
+        # a family rebuilt from its members alone, as `edgeglue verify` does
+        copy = BalancedFamily(
+            host=fam.host,
+            pattern=fam.pattern,
+            members=list(fam.members),
+            edge_degrees={},
+            pair_degrees={},
+        )
+        assert remaining_recruitable(fam, caps) == []
+        assert remaining_recruitable(copy, caps) == []
+        assert copy.edge_degrees == {} and copy.pair_degrees == {}
+        assert copy.members == fam.members
+
     def test_target_size_stops_early(self):
         caps = FamilyConstraints(target_size=5)
         fam = build_balanced_family(complete_bipartite(3, 3), C4_ROOTED, caps)
