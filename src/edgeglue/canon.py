@@ -20,10 +20,11 @@ the product of |cell|! at the first leaf.
 For graphs with at most 8 vertices exhaustive-permutation versions are
 available as independent oracles (used by the tests).
 
-The certificate of an unsigned graph is the graph6 string of the
-canonically relabeled graph, so certificates double as decodable graph
-encodings.  Signed certificates carry the part sizes and the canonical
-bipartite adjacency bits.
+The search keeps a leaf's certificate as one int: the graph6 adjacency bits
+of the relabeled graph, first bit most significant.  The certificate of an
+unsigned graph is its graph6 string, so certificates double as decodable
+graph encodings.  Signed certificates carry the part sizes and the canonical
+bipartite adjacency bits, read from the same int.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .graphs import (
     decode_graph6,
     decode_sb,
     encode_graph6,
-    encode_sb,
+    graph6_from_bits,
 )
 
-MAX_CANONICAL_VERTICES = 32
+# within the 62 vertices of short graph6
+MAX_CANONICAL_VERTICES = 34
 
 
 @dataclass(frozen=True, order=True)
@@ -56,26 +58,25 @@ class CanonicalLabel:
         return f"CanonicalLabel({self.bytes!r})"
 
 
-def _refine(adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Iterate colour refinement to a stable partition."""
-    n = len(adj)
+def _refine(nbrs: list[list[int]], colors: list[int], width: int) -> list[int]:
+    """Iterate colour refinement to a stable partition.
+
+    A round sorts the vertices by their colour, then by their count of
+    neighbours in each colour class.  Both go into one int per vertex: the
+    colour above k = max(colors) + 1 digits of `width` bits, the digit of
+    colour 0 most significant, so int order is that (colour, counts) order.
+    An individualized vertex of cell 0 has colour -1; pw[-1] counts it in
+    the last digit, the same digit as colour k - 1.  2**width must exceed
+    every count: width = n.bit_length() does for n vertices.
+    """
     while True:
-        buckets = {}
-        for v in range(n):
-            m = adj[v]
-            sig = [0] * (max(colors) + 1 if colors else 0)
-            u = 0
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                sig[colors[u]] += 1
-                m ^= low
-            key = (colors[v], tuple(sig))
-            buckets.setdefault(key, []).append(v)
-        new_colors = [0] * n
-        for c, (_, members) in enumerate(sorted(buckets.items())):
-            for v in members:
-                new_colors[v] = c
+        k = max(colors) + 1 if colors else 0
+        pw = [1 << width * (k - 1 - c) for c in range(k)]
+        digit = [pw[c] for c in colors]
+        shift = width * k
+        keys = [(c << shift) + sum([digit[u] for u in nb]) for c, nb in zip(colors, nbrs)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new_colors = [rank[key] for key in keys]
         if new_colors == colors:
             return colors
         colors = new_colors
@@ -88,15 +89,23 @@ def _cells(colors: list[int]) -> list[list[int]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def _certificate_for_order(adj: tuple[int, ...], order: list[int]) -> tuple:
-    """Adjacency bits of the graph relabeled so order[i] becomes i."""
-    bits = []
-    for j in range(1, len(order)):
-        vj = order[j]
-        row = adj[vj]
-        for i in range(j):
-            bits.append(row >> order[i] & 1)
-    return tuple(bits)
+def _certificate_for_order(nbrs: list[list[int]], order: list[int]) -> int:
+    """Adjacency of the graph relabeled so order[i] becomes i, as one int.
+
+    Its bits are the graph6 bits, pair (i, j) for i < j ordered by j then i,
+    with the first bit most significant; for one vertex count, int order is
+    the order of the bit strings.
+    """
+    n = len(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    top = n * (n - 1) // 2 - 1
+    # bit of pair (i, j) sits at top - (j(j-1)/2 + i)
+    row = [top - j * (j - 1) // 2 for j in range(n)]
+    return sum(
+        [1 << row[pos[v]] - pos[u] for v in range(n) for u in nbrs[v] if pos[u] < pos[v]]
+    )
 
 
 def _is_color_complete(adj, cells) -> bool:
@@ -114,12 +123,17 @@ def _is_color_complete(adj, cells) -> bool:
     return True
 
 
-def _search(adj: tuple[int, ...], colors) -> tuple[list[int], int]:
-    """Order of the least-certificate leaf, and |Aut| of the coloured graph.
+def _search(g: LabeledGraph, colors) -> tuple[int, int]:
+    """The least leaf certificate, and |Aut| of the coloured graph.
 
     The tree, its pruning and the count are described in the module docstring.
     """
-    n = len(adj)
+    n = g.vertex_count
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    width = n.bit_length()
     gens: list[list[int]] = []
     first = best = None  # (certificate, order)
     aut = 1
@@ -133,15 +147,15 @@ def _search(adj: tuple[int, ...], colors) -> tuple[list[int], int]:
         """Explore one subtree; True means a leaf equal to the first was found."""
         nonlocal first, best, aut
         on_first_path = first is None
-        colors = _refine(adj, colors)
+        colors = _refine(nbrs, colors, width)
         cells = _cells(colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
-        if target is None or _is_color_complete(adj, cells):
+        if target is None or _is_color_complete(g.adjacency, cells):
             # adjacency is constant between (and inside) colour classes, so every
             # cell-consistent order produces the same certificate, and every
             # permutation inside the cells fixes the path
             order = [v for cell in cells for v in cell]
-            cert = _certificate_for_order(adj, order)
+            cert = _certificate_for_order(nbrs, order)
             if on_first_path:
                 first = best = (cert, order)
                 for cell in cells:
@@ -174,7 +188,7 @@ def _search(adj: tuple[int, ...], colors) -> tuple[list[int], int]:
         return False
 
     visit(list(colors), [])
-    return best[1], aut
+    return best[0], aut
 
 
 def _check_size(g) -> None:
@@ -186,16 +200,18 @@ def canonical_form(g: LabeledGraph | SignedBipartiteGraph) -> CanonicalLabel:
     """Isomorphism-invariant certificate; sign-respecting in the signed case."""
     _check_size(g)
     if isinstance(g, SignedBipartiteGraph):
-        flat = g.as_unsigned()
         # + and - are colours that may not be exchanged
-        order, _ = _search(flat.adjacency, g.colors)
-        # colour classes stay contiguous, + first, because refinement only splits
-        relabeled = flat.relabel({v: i for i, v in enumerate(order)})
-        signed = SignedBipartiteGraph.from_flat(g.plus_count, relabeled)
-        return CanonicalLabel(encode_sb(signed).encode())
-    order, _ = _search(g.adjacency, [0] * g.vertex_count)
-    relabeled = g.relabel({v: i for i, v in enumerate(order)})
-    return CanonicalLabel(b"g6:" + encode_graph6(relabeled).encode())
+        cert, _ = _search(g.as_unsigned(), g.colors)
+        # colour classes stay contiguous, + first, because refinement only
+        # splits: + vertex p and - vertex q are flat vertices p and m + q
+        m, n = g.plus_count, g.minus_count
+        top = (m + n) * (m + n - 1) // 2 - 1
+        bits = "".join(
+            "01"[cert >> top - (m + q) * (m + q - 1) // 2 - p & 1] for p in range(m) for q in range(n)
+        )
+        return CanonicalLabel(f"sb:{m}:{n}:{bits}".encode())
+    cert, _ = _search(g, [0] * g.vertex_count)
+    return CanonicalLabel(b"g6:" + graph6_from_bits(g.vertex_count, cert).encode())
 
 
 def decode_canonical(label: CanonicalLabel) -> LabeledGraph | SignedBipartiteGraph:
@@ -211,13 +227,13 @@ def decode_canonical(label: CanonicalLabel) -> LabeledGraph | SignedBipartiteGra
 def automorphism_count(h: LabeledGraph) -> int:
     """|Aut(h)|."""
     _check_size(h)
-    return _search(h.adjacency, [0] * h.vertex_count)[1]
+    return _search(h, [0] * h.vertex_count)[1]
 
 
 def signed_automorphism_count(h: SignedBipartiteGraph) -> int:
     """Automorphisms fixing the + and - sides setwise."""
     _check_size(h)
-    return _search(h.as_unsigned().adjacency, h.colors)[1]
+    return _search(h.as_unsigned(), h.colors)[1]
 
 
 def automorphism_count_bruteforce(h: LabeledGraph) -> int:

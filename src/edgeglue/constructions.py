@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, compress
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .embed import enumerate_embeddings
 from .errors import PartSizeMismatch, PreconditionViolated, TooFewEdges
 from .graphs import LabeledGraph, SignedBipartiteGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRNG_FAMILY = "pcg64"
 
@@ -31,26 +34,31 @@ class SeededSampler:
             raise ValueError(f"unsupported PRNG family {self.algorithm_id!r}")
 
     def rng(self) -> np.random.Generator:
+        # numpy is imported on first use: `import edgeglue` stays without it
+        import numpy as np
+
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
     def child(self, index: int) -> "SeededSampler":
         """Deterministic per-trial sampler derived from the master seed."""
+        import numpy as np
+
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
         return SeededSampler(int(ss.generate_state(1, dtype=np.uint64)[0]))
 
 
 def sample_gnp(n: int, p, sampler: SeededSampler) -> LabeledGraph:
-    """Binomial random graph: each pair present independently with prob p."""
+    """Binomial random graph: each pair present independently with prob p.
+
+    One draw per pair (i, j), i < j, in row order, the order of
+    combinations(range(n), 2); a vector of draws is the same stream of
+    doubles as one scalar draw per pair.
+    """
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    rng = sampler.rng()
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return LabeledGraph(n, edges)
+    present = sampler.rng().random(comb(n, 2)) < p
+    return LabeledGraph(n, compress(combinations(range(n), 2), present.tolist()))
 
 
 def deletion_probability(n: int, f: LabeledGraph) -> float:

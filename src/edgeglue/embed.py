@@ -69,11 +69,13 @@ def _backtrack(
     host_colors: Optional[Sequence[int]],
     limit: Optional[int],
     conditions: Sequence[tuple[int, int]] = (),
+    induced: bool = False,
 ) -> Iterator[Embedding]:
     """Embeddings extending fixed, which is trusted to embed its own pairs.
 
     Each condition (v, w) asks map[v] < map[w]; v must be fixed or come
     before w in index order, so it is placed when w's candidates are drawn.
+    With induced, pattern non-edges must land on host non-edges too.
     """
     pn, hn = pattern.vertex_count, host.vertex_count
     if pn > hn:
@@ -86,6 +88,8 @@ def _backtrack(
         image[v] = u
         used |= 1 << u
     full_mask = (1 << hn) - 1
+    if induced:
+        pnon = [(1 << pn) - 1 & ~padj[v] & ~(1 << v) for v in range(pn)]
     yielded = 0
     below: list[list[int]] = [[] for _ in range(pn)]
     for v, w in conditions:
@@ -103,6 +107,14 @@ def _backtrack(
             m ^= low
             if image[w] >= 0:
                 mask &= hadj[image[w]]
+        if induced:
+            m = pnon[v]
+            while m:
+                low = m & -m
+                w = low.bit_length() - 1
+                m ^= low
+                if image[w] >= 0:
+                    mask &= ~hadj[image[w]]
         dv = pdeg[v]
         while mask:
             low = mask & -mask
@@ -170,15 +182,22 @@ def _extends_to_automorphism(
     """True iff some colour-preserving automorphism of h agrees with fixed.
 
     _backtrack trusts fixed, so the pairs are checked here first: their
-    colours, and the pattern edges between fixed vertices.  An injective
-    edge-preserving map of h into itself is an automorphism.
+    colours, and adjacency between fixed vertices, which must map edges to
+    edges and non-edges to non-edges.  The search then places the other
+    vertices the same way (induced), so a map that breaks an adjacency is
+    refuted when it is made, not deep in the tree.
     """
     if colors is not None and any(colors[v] != colors[u] for v, u in fixed.items()):
         return False
-    for a, b in h.edges:
-        if a in fixed and b in fixed and not h.has_edge(fixed[a], fixed[b]):
-            return False
-    return next(_backtrack(h, h, fixed, colors, colors, 1), None) is not None
+    adj = h.adjacency
+    # a pair of fixed points keeps its adjacency; check the pairs with a moved vertex
+    for a, fa in fixed.items():
+        if a == fa:
+            continue
+        for b, fb in fixed.items():
+            if (adj[a] >> b ^ adj[fa] >> fb) & 1:
+                return False
+    return next(_backtrack(h, h, fixed, colors, colors, 1, induced=True), None) is not None
 
 
 def _symmetry_conditions(

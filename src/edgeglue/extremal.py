@@ -34,8 +34,6 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .canon import CanonicalLabel, canonical_form, decode_canonical
 from .embed import enumerate_copies, is_free
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
@@ -118,6 +116,9 @@ def exhaustive_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, int]:
     So the chunk marks c & low for those c and closes the marks upward, one
     in-place OR per low bit; the unmarked low parts are the free hosts.
     """
+    # imported on first use: `import edgeglue` stays without numpy
+    import numpy as np
+
     if nbits > _ORACLE_MAX_BITS:
         raise SizeExceeded(f"exhaustive oracle limited to {_ORACLE_MAX_BITS} edge slots")
     if not masks:

@@ -320,22 +320,24 @@ def signed_star(leaves: int, center_plus: bool = True) -> SignedBipartiteGraph:
 
 def encode_graph6(g: LabeledGraph) -> str:
     """Standard short-form graph6 encoding (n <= 62)."""
-    n = g.vertex_count
-    if n > GRAPH6_MAX_SHORT:
-        raise ParseError(f"short-form graph6 supports n <= {GRAPH6_MAX_SHORT}, got {n}")
-    bits = []
+    n, adj = g.vertex_count, g.adjacency
+    bits = 0
     for j in range(1, n):
         for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+            bits = bits << 1 | adj[j] >> i & 1
+    return graph6_from_bits(n, bits)
+
+
+def graph6_from_bits(n: int, bits: int) -> str:
+    """Short-form graph6 of the n-vertex graph whose adjacency bits, pair
+    (i, j) for i < j ordered by j then i, are `bits`, first pair most
+    significant."""
+    if n > GRAPH6_MAX_SHORT:
+        raise ParseError(f"short-form graph6 supports n <= {GRAPH6_MAX_SHORT}, got {n}")
+    pad = -(n * (n - 1) // 2) % 6
+    body = bits << pad
+    chunks = (n * (n - 1) // 2 + pad) // 6
+    return chr(63 + n) + "".join(chr(63 + (body >> 6 * k & 63)) for k in reversed(range(chunks)))
 
 
 def decode_graph6(text: str) -> LabeledGraph:

@@ -166,6 +166,24 @@ class TestCanonicalForm:
         random.Random(5).shuffle(perm)
         assert canonical_form(g.relabel(perm)) == canonical_form(g)
 
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.9])
+    def test_34_vertex_forms_invariant_under_relabeling(self, density):
+        rng = random.Random(34)
+        g = LabeledGraph(34, [(i, j) for i in range(34) for j in range(i + 1, 34) if rng.random() < density])
+        perm = list(range(34))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == canonical_form(g)
+        assert canonical_form(decode_canonical(canonical_form(g))) == canonical_form(g)
+
+    def test_34_vertex_symmetric_form_invariant_under_relabeling(self):
+        # eight paths of length 5 between the ends of one edge: 8 C6s glued along it
+        paths = [(1, *range(2 + 4 * k, 6 + 4 * k), 0) for k in range(8)]
+        g = LabeledGraph(34, [(0, 1)] + [e for p in paths for e in zip(p, p[1:])])
+        perm = list(range(34))
+        random.Random(8).shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == canonical_form(g)
+        assert automorphism_count(g) == 2 * factorial(8)
+
     def test_separates_graphs_that_refinement_cannot(self):
         assert canonical_form(shrikhande()) != canonical_form(rook(4))
 
@@ -219,11 +237,12 @@ class TestAutomorphisms:
     def test_known_groups_beyond_the_bruteforce_oracle(self, g, order):
         assert automorphism_count(g) == order
 
-    def test_32_vertex_cap_is_shared(self):
-        g = empty_graph(33)
+    def test_34_vertex_cap_is_shared(self):
+        g = empty_graph(35)
         with pytest.raises(SizeExceeded):
             canonical_form(g)
         with pytest.raises(SizeExceeded):
             automorphism_count(g)
         with pytest.raises(SizeExceeded):
-            signed_automorphism_count(SignedBipartiteGraph(17, 16))
+            signed_automorphism_count(SignedBipartiteGraph(18, 17))
+        assert automorphism_count(empty_graph(34)) == factorial(34)

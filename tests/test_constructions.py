@@ -1,7 +1,10 @@
 """Seeded random hosts, the deletion construction, sign splits, and blowups."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,14 @@ class TestSampler:
     def test_unknown_prng_family_rejected(self):
         with pytest.raises(ValueError):
             SeededSampler(1, algorithm_id="mt19937")
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy is imported where randomness or the oracle sieve first needs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import edgeglue; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestGnp:

@@ -77,6 +77,11 @@ class TestGlueAlongEdge:
         assert len(fam) == 1
         assert (fam[0].vertex_count, fam[0].edge_count) == (8, 9)
 
+    def test_eight_c6_glue_to_one_graph_at_the_34_vertex_cap(self):
+        fam = glue_family(GluingSpec(((cycle(6), (0, 1)),) * 8))
+        assert len(fam) == 1
+        assert (fam[0].vertex_count, fam[0].edge_count) == (34, 41)
+
     def test_self_glue_singleton_for_edge_swapping_patterns(self):
         # an automorphism swaps the endpoints of every edge of these
         for g in (cycle(4), cycle(6), complete_bipartite(2, 2)):
