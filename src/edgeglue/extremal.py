@@ -23,6 +23,9 @@ this representation:
   same search on the smaller hosts, solved once per call; their copy masks
   are the masks that avoid the deleted vertex.
 
+  The value comes from the search cut by lex-leader symmetry breaking;
+  the witness from the plain search seeded with that value (see `_bnb`).
+
 The front end checks every witness with `is_free` before it returns.
 """
 
@@ -152,18 +155,51 @@ def branch_and_bound_max_free(
     masks: Sequence[int],
     caps: Sequence[tuple[int, int]] = (),
     limit: Optional[int] = None,
+    floor: Optional[int] = None,
+    lex: Sequence[Sequence[tuple[int, int]]] = (),
 ) -> tuple[int, int]:
     """Exact DFS over edge slots; returns (max edges, witness mask).
 
     Optional bounds the caller proves for every free host h: each
-    (star, cap) in caps says |h| <= cap + |h & star|, and limit >= max |h|.
-    They only cut subtrees that cannot beat the incumbent, so the value and
-    the witness are those of the search without them.
+    (star, cap) in caps says |h| <= cap + |h & star|, limit >= max |h|, and
+    floor <= max |h|.  They only cut subtrees that cannot beat the
+    incumbent, which floor seeds at floor - 1, so the value and the witness
+    are those of the search without them: the first optimum in include-first
+    order.  With floor = limit = the maximum, the search stops at that
+    optimum.  If no free host has floor edges, the value returned is
+    floor - 1 and the witness means nothing.
+
+    Each sequence of slot pairs (hi, lo) in lex asks that the bits at the
+    hi slots, read in order, be lexicographically at least those at the lo
+    slots; a subtree that breaks one is cut.  The caller must prove that
+    some optimum meets them all; the value stays exact, but the witness is
+    then just some optimum.
     """
     if not masks:
         return nbits, (1 << nbits) - 1
     if limit is None:
         limit = nbits
+    # checks[k]: (bit of sequence s, hi, lo) for each column of s decided
+    # once slot k is, in column order; `tied` holds the bits of the sequences
+    # whose decided columns are all equal so far
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(nbits)]
+    for s, seq in enumerate(lex):
+        done = -1
+        for hi, lo in seq:
+            done = max(done, hi, lo)
+            checks[done].append((1 << s, hi, lo))
+
+    def settle(cur: int, k: int, tied: int) -> int:
+        """tied after slot k is decided in cur, or -1 if a sequence broke."""
+        for s, hi, lo in checks[k]:
+            if tied & s:
+                a, b = cur >> hi & 1, cur >> lo & 1
+                if a < b:
+                    return -1
+                if a > b:
+                    tied ^= s
+        return tied
+
     # Slots are decided in increasing order, so when slot `bit` is added the
     # free host holds only lower slots: a copy it completes has `bit` on top.
     by_top: list[list[int]] = [[] for _ in range(nbits)]
@@ -184,10 +220,12 @@ def branch_and_bound_max_free(
             greedy |= 1 << b
     best = greedy.bit_count()
     witness = greedy
+    if floor is not None and best < floor:
+        best = floor - 1
 
     full = (1 << nbits) - 1
 
-    def dfs(i: int, cur: int, cnt: int):
+    def dfs(i: int, cur: int, cnt: int, tied: int):
         nonlocal best, witness
         if min(cnt + (nbits - i), limit) <= best:
             return
@@ -195,16 +233,20 @@ def branch_and_bound_max_free(
             best, witness = cnt, cur
             return
         if not conflicts(cur, i):
-            dfs(i + 1, cur | 1 << i, cnt + 1)
+            t = settle(cur | 1 << i, i, tied) if checks[i] else tied
+            if t >= 0:
+                dfs(i + 1, cur | 1 << i, cnt + 1, t)
         # excluding slot i shrinks what the subtree can reach; including it
         # does not, so the caps are only checked here
         reach = cur | (full >> (i + 1) << (i + 1))
         for star, cap in caps:
             if cap + (reach & star).bit_count() <= best:
                 return
-        dfs(i + 1, cur, cnt)
+        t = settle(cur, i, tied) if checks[i] else tied
+        if t >= 0:
+            dfs(i + 1, cur, cnt, t)
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, (1 << len(lex)) - 1)
     return best, witness
 
 
@@ -249,7 +291,31 @@ def _delete_vertex(slots, masks, v: int):
     return sub_slots, sub_masks
 
 
-def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
+def _lex_orders(size, slots) -> list[list[tuple[int, int]]]:
+    """Lex-leader constraints that some optimum of every instance meets.
+
+    The host's relabellings (S_n on K_n, the side-preserving S_m x S_n on
+    K_{m,n}) permute the copy masks and the vertex caps among themselves.
+    Take the free host whose slot string, read from slot 0, is
+    lexicographically greatest in its orbit.  For K_n, swapping i and i+1
+    cannot raise that string, so row i beats row i+1 with columns i and i+1
+    left out (Codish, Miller, Prosser & Stuckey, Constraints 2019); for
+    K_{m,n}, adjacent rows and adjacent columns are non-increasing (Flener
+    et al., CP 2002).
+    """
+    at = {}
+    for k, (a, b) in enumerate(slots):
+        at[a, b] = at[b, a] = k
+    if len(size) == 1:
+        (n,) = size
+        return [[(at[i, c], at[i + 1, c]) for c in range(n) if c not in (i, i + 1)] for i in range(n - 1)]
+    m, n = size
+    rows = [[(at[p, m + q], at[p + 1, m + q]) for q in range(n)] for p in range(m - 1)]
+    columns = [[(at[p, m + q], at[p, m + q + 1]) for p in range(m)] for q in range(n - 1)]
+    return rows + columns
+
+
+def _bnb(size, slots, masks, memo: dict, witness: bool = True) -> tuple[int, Optional[int]]:
     """Branch-and-bound with the vertex-deletion bound (see the module notes).
 
     Each class of k vertices (all of K_n, or one side of K_{m,n}) shares one
@@ -257,6 +323,13 @@ def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
     over the class gives (k - d)|h| <= k X (Katona-Nemetz-Simonovits).  The
     X are solved the same way on the smaller hosts, whose instances come
     from this one by `_delete_vertex`; memo maps a size to its optimum.
+
+    The value comes from the search under `_lex_orders`, which visits one
+    host per orbit and so proves optimality in far fewer nodes.  Only then,
+    if asked, comes the witness: the plain search seeded with floor = limit
+    = value stops at the first optimum in include-first order, which no
+    bound cuts.  That witness must have exactly value edges, so a value
+    search that over-reports raises InvariantViolation.
     """
     if not masks:
         return branch_and_bound_max_free(len(slots), masks)
@@ -274,12 +347,18 @@ def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
     for vertices, smaller, d in classes:
         if smaller not in memo:
             sub_slots, sub_masks = _delete_vertex(slots, masks, vertices[-1])
-            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, memo)[0]
+            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, memo, witness=False)[0]
         x = memo[smaller]
         caps += [(star[v], x) for v in vertices]
         if len(vertices) > d:
             limit = min(limit, len(vertices) * x // (len(vertices) - d))
-    return branch_and_bound_max_free(len(slots), masks, caps, limit)
+    value = branch_and_bound_max_free(len(slots), masks, caps, limit, lex=_lex_orders(size, slots))[0]
+    if not witness:
+        return value, None
+    got, host = branch_and_bound_max_free(len(slots), masks, caps, value, floor=value)
+    if got != value or host.bit_count() != value or any(host & c == c for c in masks):
+        raise InvariantViolation(f"no free host with the {value} edges the symmetry-broken search found")
+    return value, host
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["value"] == 6
 
+    def test_zex_seven_by_seven(self, capsys):
+        # z(7, 7; C4) = 21 (OEIS A001197), with the first optimum in
+        # include-first order as its witness
+        code, out, _ = run(capsys, "zex", "--m", "7", "--n", "7", "--pattern", "c4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == 21
+        assert payload["witness"] == "sb:7:7:1110000100110010000110101010010010100110010010110"
+
     def test_glue_c4_c4_single_line(self, capsys):
         code, out, _ = run(capsys, "glue", "--a", "c4", "--ea", "0", "--b", "c4", "--eb", "0")
         assert code == 0

@@ -171,6 +171,14 @@ def scan_max_free(nbits, masks):
     return best
 
 
+def scan_first_optimum(nbits, masks):
+    """Branch-and-bound's contract, one host at a time: (max edges, the first
+    optimum in include-first order), which is the optimal free host whose
+    slot string, read from slot 0, is lexicographically greatest."""
+    free = [h for h in range(1 << nbits) if all(h & c != c for c in masks)]
+    return max((h.bit_count(), [h >> k & 1 for k in range(nbits)], h) for h in free)[::2]
+
+
 @st.composite
 def mask_sets(draw):
     nbits = draw(st.integers(0, 12))
@@ -212,13 +220,17 @@ class TestExhaustiveOracle:
 
 
 # Literature values, independent of the copy-mask front end both engines share.
-A006855_EX_C4 = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11}
-A001197_Z_C4 = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12, 6: 16}
+A006855_EX_C4 = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11, 9: 13, 10: 16}
+A001197_Z_C4 = {1: 1, 2: 3, 3: 6, 4: 9, 5: 12, 6: 16, 7: 21}
 METHODS = ("oracle", "branch-and-bound")
-# ex(8) is the oracle's 28-slot limit, past its default cap; z(5, 5) is pinned
-# in TestExhaustiveOracle, and z(6, 6) is beyond the oracle
-EX_CASES = [(n, m) for n in A006855_EX_C4 for m in METHODS]
+# ex(8) is the oracle's 28-slot limit, past its default cap, and ex(9) is
+# beyond it; z(5, 5) is pinned in TestExhaustiveOracle, and z(6, 6) is beyond
+# the oracle
+EX_CASES = [(n, m) for n in A006855_EX_C4 for m in METHODS if n <= 8 or m != "oracle"]
 Z_CASES = [(n, m) for n in A001197_Z_C4 for m in METHODS if n < 5 or m != "oracle"]
+# the first optimum in include-first order; one plain search took 518 s to
+# reach it on a 2-vCPU VM
+Z77_C4_WITNESS = "sb:7:7:1110000100110010000110101010010010100110010010110"
 
 
 class TestLiteratureOracle:
@@ -229,6 +241,9 @@ class TestLiteratureOracle:
     @pytest.mark.parametrize("n, method", Z_CASES)
     def test_z_signed_c4_matches_oeis_a001197(self, n, method):
         assert exact_zarankiewicz(n, n, signed_cycle(4), method=method).value == A001197_Z_C4[n]
+
+    def test_z77_witness(self):
+        assert exact_zarankiewicz(7, 7, signed_cycle(4)).witness == Z77_C4_WITNESS
 
 
 class TestDegenerateSizes:
@@ -261,18 +276,23 @@ def signed_patterns(draw):
 
 
 class TestVertexDeletionBound:
-    """The caps and the limit only prune: every branch-and-bound call, the
-    sub-solves on smaller hosts included, returns what the plain search and
-    the oracle return."""
+    """The caps, the limit, the floor and the lex-leader constraints only
+    prune: every branch-and-bound call, the sub-solves on smaller hosts
+    included, returns the value the plain search and the oracle return, and
+    every call without lex constraints returns the plain search's witness
+    too."""
 
     @staticmethod
     def solve_checked(solve):
         plain = extremal.branch_and_bound_max_free
         bounded_calls = []
 
-        def checked(nbits, masks, caps=(), limit=None):
-            got = plain(nbits, masks, caps, limit)
-            assert got == plain(nbits, masks)
+        def checked(nbits, masks, caps=(), limit=None, floor=None, lex=()):
+            got = plain(nbits, masks, caps, limit, floor=floor, lex=lex)
+            if lex:
+                assert got[0] == plain(nbits, masks)[0]
+            else:
+                assert got == plain(nbits, masks)
             assert got[0] == extremal.exhaustive_max_free(nbits, masks)[0]
             bounded_calls.append(bool(caps))
             return got
@@ -323,7 +343,7 @@ class TestDeleteVertex:
 class TestWitnessCheck:
     @pytest.mark.parametrize("engine", ["branch_and_bound_max_free", "exhaustive_max_free"])
     def test_witness_with_a_copy_is_rejected(self, monkeypatch, engine):
-        monkeypatch.setattr(extremal, engine, lambda nbits, masks, *rest: (nbits, (1 << nbits) - 1))
+        monkeypatch.setattr(extremal, engine, lambda nbits, masks, *rest, **options: (nbits, (1 << nbits) - 1))
         method = "oracle" if engine == "exhaustive_max_free" else "branch-and-bound"
         with pytest.raises(InvariantViolation):
             exact_turan(5, [cycle(4)], method=method)
@@ -331,10 +351,61 @@ class TestWitnessCheck:
             exact_zarankiewicz(3, 3, signed_cycle(4), method=method)
 
     def test_witness_with_the_wrong_edge_count_is_rejected(self, monkeypatch):
-        engine = lambda nbits, masks, *rest: (1, 0)  # noqa: E731
+        engine = lambda nbits, masks, *rest, **options: (1, 0)  # noqa: E731
         monkeypatch.setattr(extremal, "branch_and_bound_max_free", engine)
         with pytest.raises(InvariantViolation):
             exact_turan(5, [cycle(4)])
+
+    def test_bnb_witness_with_a_copy_is_rejected_by_the_front_end(self, monkeypatch):
+        # past the engine's own guard: `_solve` checks with `is_free`, not masks
+        monkeypatch.setattr(extremal, "_bnb", lambda size, slots, masks, memo: (len(slots), (1 << len(slots)) - 1))
+        with pytest.raises(InvariantViolation, match="branch-and-bound witness"):
+            exact_turan(5, [cycle(4)])
+
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda: exact_turan(6, [cycle(4)]), lambda: exact_zarankiewicz(4, 4, signed_cycle(4))],
+        ids=["turan", "zarankiewicz"],
+    )
+    def test_value_search_that_over_reports_is_caught(self, monkeypatch, solve):
+        plain = extremal.branch_and_bound_max_free
+
+        def over_reporting(nbits, masks, *rest, lex=(), **options):
+            value, witness = plain(nbits, masks, *rest, lex=lex, **options)
+            return (value + 1 if lex else value), witness
+
+        monkeypatch.setattr(extremal, "branch_and_bound_max_free", over_reporting)
+        with pytest.raises(InvariantViolation, match="symmetry-broken"):
+            solve()
+
+
+@st.composite
+def instances(draw):
+    """Slots and copy masks from `_instance`: K_n or the signed K_{m,n}, one
+    or two patterns, at most 12 slots."""
+    if draw(st.booleans()):
+        size = (draw(st.integers(2, 5)),)
+        patterns = draw(st.lists(unsigned_patterns(), min_size=1, max_size=2))
+    else:
+        m = draw(st.integers(1, 4))
+        size = (m, draw(st.integers(1, 12 // m)))
+        patterns = draw(st.lists(signed_patterns(), min_size=1, max_size=2))
+    return size, patterns
+
+
+class TestWitnessContract:
+    """`_bnb` returns the first optimum in include-first order, checked by a
+    scan of every host that shares no code with the DFS."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(instances())
+    @example(((5,), [cycle(4)]))
+    @example(((3, 4), [signed_cycle(4)]))
+    @example(((5,), [cycle(4), path(4)]))
+    def test_matches_a_scan_of_every_host(self, case):
+        size, patterns = case
+        slots, masks = extremal._instance(size, patterns)
+        assert extremal._bnb(size, slots, masks, {}) == scan_first_optimum(len(slots), masks)
 
 
 class TestRatioReport:
