@@ -23,8 +23,10 @@ this representation:
   same search on the smaller hosts, solved once per call; their copy masks
   are the masks that avoid the deleted vertex.
 
-  The value comes from the search cut by lex-leader symmetry breaking;
-  the witness from the plain search seeded with that value (see `_bnb`).
+  Lex-leader symmetry breaking also cuts every host that swapping two
+  adjacent vertices makes lexicographically greater (see `_lex_orders`).
+  The first optimum in include-first order is never cut, so the witness is
+  the one the plain search finds.
 
 The front end checks every witness with `is_free` before it returns.
 """
@@ -155,25 +157,23 @@ def branch_and_bound_max_free(
     masks: Sequence[int],
     caps: Sequence[tuple[int, int]] = (),
     limit: Optional[int] = None,
-    floor: Optional[int] = None,
     lex: Sequence[Sequence[tuple[int, int]]] = (),
 ) -> tuple[int, int]:
     """Exact DFS over edge slots; returns (max edges, witness mask).
 
     Optional bounds the caller proves for every free host h: each
-    (star, cap) in caps says |h| <= cap + |h & star|, limit >= max |h|, and
-    floor <= max |h|.  They only cut subtrees that cannot beat the
-    incumbent, which floor seeds at floor - 1, so the value and the witness
-    are those of the search without them: the first optimum in include-first
-    order.  With floor = limit = the maximum, the search stops at that
-    optimum.  If no free host has floor edges, the value returned is
-    floor - 1 and the witness means nothing.
+    (star, cap) in caps says |h| <= cap + |h & star|, and limit >= max |h|.
+    They only cut subtrees that cannot beat the incumbent, so the value and
+    the witness are those of the search without them: the first optimum in
+    include-first order, which is the optimal free host whose slot string,
+    read from slot 0, is lexicographically greatest.
 
     Each sequence of slot pairs (hi, lo) in lex asks that the bits at the
     hi slots, read in order, be lexicographically at least those at the lo
-    slots; a subtree that breaks one is cut.  The caller must prove that
-    some optimum meets them all; the value stays exact, but the witness is
-    then just some optimum.
+    slots; a subtree that breaks one is cut, and the result is the first
+    optimum among the hosts that meet them all.  The caller must prove that
+    the first optimum of the search without them does, as `_lex_orders`
+    does; the value and the witness are then unchanged.
     """
     if not masks:
         return nbits, (1 << nbits) - 1
@@ -220,8 +220,6 @@ def branch_and_bound_max_free(
             greedy |= 1 << b
     best = greedy.bit_count()
     witness = greedy
-    if floor is not None and best < floor:
-        best = floor - 1
 
     full = (1 << nbits) - 1
 
@@ -292,16 +290,17 @@ def _delete_vertex(slots, masks, v: int):
 
 
 def _lex_orders(size, slots) -> list[list[tuple[int, int]]]:
-    """Lex-leader constraints that some optimum of every instance meets.
+    """Lex-leader constraints that the first optimum of every instance meets.
 
     The host's relabellings (S_n on K_n, the side-preserving S_m x S_n on
-    K_{m,n}) permute the copy masks and the vertex caps among themselves.
-    Take the free host whose slot string, read from slot 0, is
-    lexicographically greatest in its orbit.  For K_n, swapping i and i+1
-    cannot raise that string, so row i beats row i+1 with columns i and i+1
-    left out (Codish, Miller, Prosser & Stuckey, Constraints 2019); for
-    K_{m,n}, adjacent rows and adjacent columns are non-increasing (Flener
-    et al., CP 2002).
+    K_{m,n}) permute the copy masks and the vertex caps among themselves,
+    so they map optima to optima.  The first optimum in include-first order
+    is the lexicographically greatest optimum, read from slot 0, so it is
+    the greatest in its orbit.  In the row-major slot order of `_instance`,
+    swapping i and i+1 in K_n cannot raise that string, so row i beats row
+    i+1 with columns i and i+1 left out (Codish, Miller, Prosser & Stuckey,
+    Constraints 2019); for K_{m,n}, adjacent rows and adjacent columns are
+    non-increasing (Flener et al., CP 2002).
     """
     at = {}
     for k, (a, b) in enumerate(slots):
@@ -315,7 +314,7 @@ def _lex_orders(size, slots) -> list[list[tuple[int, int]]]:
     return rows + columns
 
 
-def _bnb(size, slots, masks, memo: dict, witness: bool = True) -> tuple[int, Optional[int]]:
+def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
     """Branch-and-bound with the vertex-deletion bound (see the module notes).
 
     Each class of k vertices (all of K_n, or one side of K_{m,n}) shares one
@@ -324,12 +323,10 @@ def _bnb(size, slots, masks, memo: dict, witness: bool = True) -> tuple[int, Opt
     X are solved the same way on the smaller hosts, whose instances come
     from this one by `_delete_vertex`; memo maps a size to its optimum.
 
-    The value comes from the search under `_lex_orders`, which visits one
-    host per orbit and so proves optimality in far fewer nodes.  Only then,
-    if asked, comes the witness: the plain search seeded with floor = limit
-    = value stops at the first optimum in include-first order, which no
-    bound cuts.  That witness must have exactly value edges, so a value
-    search that over-reports raises InvariantViolation.
+    Every search runs under `_lex_orders`, which cuts the hosts that
+    swapping two adjacent vertices makes lexicographically greater and so
+    proves optimality in far fewer nodes; it still returns the first
+    optimum in include-first order.
     """
     if not masks:
         return branch_and_bound_max_free(len(slots), masks)
@@ -347,18 +344,12 @@ def _bnb(size, slots, masks, memo: dict, witness: bool = True) -> tuple[int, Opt
     for vertices, smaller, d in classes:
         if smaller not in memo:
             sub_slots, sub_masks = _delete_vertex(slots, masks, vertices[-1])
-            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, memo, witness=False)[0]
+            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, memo)[0]
         x = memo[smaller]
         caps += [(star[v], x) for v in vertices]
         if len(vertices) > d:
             limit = min(limit, len(vertices) * x // (len(vertices) - d))
-    value = branch_and_bound_max_free(len(slots), masks, caps, limit, lex=_lex_orders(size, slots))[0]
-    if not witness:
-        return value, None
-    got, host = branch_and_bound_max_free(len(slots), masks, caps, value, floor=value)
-    if got != value or host.bit_count() != value or any(host & c == c for c in masks):
-        raise InvariantViolation(f"no free host with the {value} edges the symmetry-broken search found")
-    return value, host
+    return branch_and_bound_max_free(len(slots), masks, caps, limit, lex=_lex_orders(size, slots))
 
 
 # ---------------------------------------------------------------------------
