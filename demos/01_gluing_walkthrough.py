@@ -51,7 +51,7 @@ print("tree of cycles (C4-C6):", g.vertex_count, "vertices,", g.edge_count, "edg
 
 # Signed gluing keeps the two sides of the bipartition distinguishable.
 c4 = signed_cycle(4)
-spec = GluingSpec(((c4, (0, 0)), (c4, (0, 0)), (c4, (0, 0))), mode="signed-unique")
+spec = GluingSpec(((c4, (0, 0)), (c4, (0, 0)), (c4, (0, 0))))
 sg = signed_glue(spec)
 print("\nthree signed C4 glued:", sg.plus_count, "+", sg.minus_count,
       "vertices,", sg.edge_count, "edges")

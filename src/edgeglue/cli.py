@@ -140,13 +140,10 @@ def cmd_ex(args) -> int:
 
 def cmd_zex(args) -> int:
     h = parse_signed_graph(args.pattern)
-    from .canon import canonical_form
-
-    certs = (canonical_form(h).bytes.decode(),)
     rec = _cached_or_compute(
         _store_path(args),
         "zarankiewicz",
-        certs,
+        extremal.forbidden_certificates([h]),
         (args.m, args.n),
         lambda: extremal.exact_zarankiewicz(args.m, args.n, h, method=args.method),
     )

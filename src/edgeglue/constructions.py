@@ -21,17 +21,10 @@ from .graphs import LabeledGraph, SignedBipartiteGraph
 if TYPE_CHECKING:
     import numpy as np
 
-PRNG_FAMILY = "pcg64"
-
 
 @dataclass(frozen=True)
 class SeededSampler:
     seed: int
-    algorithm_id: str = PRNG_FAMILY
-
-    def __post_init__(self):
-        if self.algorithm_id != PRNG_FAMILY:
-            raise ValueError(f"unsupported PRNG family {self.algorithm_id!r}")
 
     def rng(self) -> np.random.Generator:
         # numpy is imported on first use: `import edgeglue` stays without it
@@ -80,7 +73,7 @@ def delete_per_copy(g: LabeledGraph, f: LabeledGraph) -> LabeledGraph:
     """
     current = g
     while True:
-        emb = next(enumerate_embeddings(f, current, limit=1), None)
+        emb = next(enumerate_embeddings(f, current), None)
         if emb is None:
             return current
         victim = min(emb.image_edge(e) for e in f.edges)

@@ -5,7 +5,8 @@ vertex, and every pattern edge lands on a host edge (non-induced).  Signed
 embeddings additionally keep the + side of the pattern inside the + side of
 the host.  Enumeration is a bitset backtracker that assigns pattern vertices
 in index order with ascending candidates, so the stream is lexicographic on
-the map tuple.
+the map tuple.  Every stream is a lazy generator: a caller that needs only
+the first maps takes them with next() or itertools.islice.
 
 A copy of H is the image of an embedding, and every copy is the image of
 exactly |Aut(H)| embeddings: f and f∘σ for the automorphisms σ.
@@ -67,7 +68,6 @@ def _backtrack(
     fixed: dict[int, int],
     pattern_colors: Optional[Sequence[int]],
     host_colors: Optional[Sequence[int]],
-    limit: Optional[int],
     conditions: Sequence[tuple[int, int]] = (),
     induced: bool = False,
 ) -> Iterator[Embedding]:
@@ -90,7 +90,6 @@ def _backtrack(
     full_mask = (1 << hn) - 1
     if induced:
         pnon = [(1 << pn) - 1 & ~padj[v] & ~(1 << v) for v in range(pn)]
-    yielded = 0
     below: list[list[int]] = [[] for _ in range(pn)]
     for v, w in conditions:
         below[w].append(v)
@@ -129,7 +128,7 @@ def _backtrack(
     order = [v for v in range(pn) if v not in fixed]
 
     def place(idx: int) -> Iterator[Embedding]:
-        nonlocal used, yielded
+        nonlocal used
         if idx == len(order):
             yield Embedding(pattern, host, tuple(image))
             return
@@ -141,11 +140,7 @@ def _backtrack(
             used ^= 1 << u
             image[v] = -1
 
-    for emb in place(0):
-        yield emb
-        yielded += 1
-        if limit is not None and yielded >= limit:
-            return
+    yield from place(0)
 
 
 def _flatten(h, g):
@@ -162,14 +157,14 @@ def _flatten(h, g):
     return h, g, pc, hc
 
 
-def enumerate_embeddings(h, g, limit: Optional[int] = None) -> Iterator[Embedding]:
+def enumerate_embeddings(h, g) -> Iterator[Embedding]:
     """Every injective edge-preserving map of h into g, lexicographic order.
 
     Both arguments unsigned LabeledGraphs, or both SignedBipartiteGraphs
     (then the map preserves sides, expressed on the flattened vertex sets).
     """
     h, g, pc, hc = _flatten(h, g)
-    yield from _backtrack(h, g, {}, pc, hc, limit)
+    yield from _backtrack(h, g, {}, pc, hc)
 
 
 def count_embeddings(h, g) -> int:
@@ -197,7 +192,7 @@ def _extends_to_automorphism(
         for b, fb in fixed.items():
             if (adj[a] >> b ^ adj[fa] >> fb) & 1:
                 return False
-    return next(_backtrack(h, h, fixed, colors, colors, 1, induced=True), None) is not None
+    return next(_backtrack(h, h, fixed, colors, colors, induced=True), None) is not None
 
 
 def _symmetry_conditions(
@@ -224,7 +219,7 @@ def _copy_stream(h, g) -> tuple[int, Iterator[Embedding]]:
     maps that meet its conditions."""
     h, g, pc, hc = _flatten(h, g)
     conditions, order = _symmetry_conditions(h, pc)
-    return order, _backtrack(h, g, {}, pc, hc, None, conditions)
+    return order, _backtrack(h, g, {}, pc, hc, conditions)
 
 
 def enumerate_copies(h, g) -> Iterator[Embedding]:
@@ -252,7 +247,7 @@ def count_copies(h, g) -> int:
 
 def is_free(g, h) -> bool:
     """True iff g contains no copy of h; short-circuits on the first hit."""
-    return next(enumerate_embeddings(h, g, limit=1), None) is None
+    return next(enumerate_embeddings(h, g), None) is None
 
 
 def enumerate_extensions(psi, rooted_pattern, host: LabeledGraph) -> Iterator[Embedding]:
@@ -285,7 +280,7 @@ def enumerate_extensions(psi, rooted_pattern, host: LabeledGraph) -> Iterator[Em
         if a in rootset and b in rootset and not host.has_edge(psi[a], psi[b]):
             return
     _check_caps(p.pattern.vertex_count, host.vertex_count)
-    yield from _backtrack(p.pattern, host, dict(psi), None, None, None)
+    yield from _backtrack(p.pattern, host, dict(psi), None, None)
 
 
 def count_embeddings_naive(h: LabeledGraph, g: LabeledGraph) -> int:

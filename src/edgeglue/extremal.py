@@ -61,10 +61,8 @@ from .graphs import (
     signed_complete_bipartite,
 )
 
-DEFAULT_ORACLE_MAX_N = 7
-DEFAULT_BNB_MAX_N = 10
-DEFAULT_ORACLE_MAX_CELLS = 25
-DEFAULT_BNB_MAX_CELLS = 64
+# method -> the largest host it takes, by n for ex and by m*n for z; read at call time
+CAPS = {"oracle": {"n": 7, "m*n": 25}, "branch-and-bound": {"n": 10, "m*n": 64}}
 _ORACLE_MAX_BITS = 28
 _ORACLE_CHUNK_BITS = 22  # the oracle sieves 2^22 hosts at a time
 
@@ -456,46 +454,28 @@ def _solve(size: tuple[int, ...], forbidden, method: str) -> ExtremalRecord:
     )
 
 
-def exact_turan(
-    n: int,
-    forbidden,
-    method: str = "branch-and-bound",
-    oracle_max_n: int = DEFAULT_ORACLE_MAX_N,
-    bnb_max_n: int = DEFAULT_BNB_MAX_N,
-) -> ExtremalRecord:
+def _check_cap(method: str, measure: str, size: int):
+    if method not in CAPS:
+        raise ValueError(f"unknown method {method!r}")
+    cap = CAPS[method][measure]
+    if size > cap:
+        raise SizeExceeded(f"{method} capped at {measure}={cap}")
+
+
+def exact_turan(n: int, forbidden, method: str = "branch-and-bound") -> ExtremalRecord:
     """Exact ex(n, forbidden family) with an optimal witness."""
     forbidden = list(forbidden)
     if not forbidden:
         raise EmptyForbiddenSet("need at least one forbidden pattern")
-    if method == "oracle":
-        if n > oracle_max_n:
-            raise SizeExceeded(f"oracle capped at n={oracle_max_n}")
-    elif method == "branch-and-bound":
-        if n > bnb_max_n:
-            raise SizeExceeded(f"branch-and-bound capped at n={bnb_max_n}")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    _check_cap(method, "n", n)
     return _solve((n,), forbidden, method)
 
 
 def exact_zarankiewicz(
-    m: int,
-    n: int,
-    h: SignedBipartiteGraph,
-    method: str = "branch-and-bound",
-    oracle_max_cells: int = DEFAULT_ORACLE_MAX_CELLS,
-    bnb_max_cells: int = DEFAULT_BNB_MAX_CELLS,
+    m: int, n: int, h: SignedBipartiteGraph, method: str = "branch-and-bound"
 ) -> ExtremalRecord:
     """Exact z(m, n, h) for a signed bipartite pattern, with witness."""
-    cells = m * n
-    if method == "oracle":
-        if cells > oracle_max_cells:
-            raise SizeExceeded(f"oracle capped at m*n={oracle_max_cells}")
-    elif method == "branch-and-bound":
-        if cells > bnb_max_cells:
-            raise SizeExceeded(f"branch-and-bound capped at m*n={bnb_max_cells}")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    _check_cap(method, "m*n", m * n)
     return _solve((m, n), [h], method)
 
 
@@ -551,11 +531,10 @@ def sign_graph(g: LabeledGraph, plus_side=None) -> SignedBipartiteGraph:
         raise InfeasibleInput("declared + side is not one side of a bipartition") from exc
 
 
-def ratio_report(h: LabeledGraph, sizes, signed_h: Optional[SignedBipartiteGraph] = None,
-                 method: str = "branch-and-bound") -> list[RatioRow]:
-    """Rows (n, ex(n,h), z(n,n,signed h), ex/z); oversized rows are skipped."""
-    if signed_h is None:
-        signed_h = sign_graph(h)
+def ratio_report(h: LabeledGraph, sizes, method: str = "branch-and-bound") -> list[RatioRow]:
+    """Rows (n, ex(n,h), z(n,n,signed h), ex/z), h signed by `sign_graph`;
+    oversized rows are skipped."""
+    signed_h = sign_graph(h)
     rows = []
     for n in sizes:
         try:

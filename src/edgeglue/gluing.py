@@ -90,24 +90,20 @@ def edge_rooted(pattern: LabeledGraph, edge) -> RootedPattern:
 
 @dataclass(frozen=True)
 class GluingSpec:
-    """Parts to glue along their marked edges.
-
-    mode 'unsigned-family' yields all orientation choices deduplicated up to
-    isomorphism; 'signed-unique' glues signed graphs the one sign-preserving
-    way.
+    """Parts to glue along their marked edges: all unsigned graphs, which
+    `glue_family` glues in every orientation up to isomorphism, or all
+    SignedBipartiteGraphs, which `signed_glue` glues the one sign-preserving
+    way.  Mixed parts raise SignMismatch.
     """
 
     parts: tuple
-    mode: str = "unsigned-family"
 
     def __post_init__(self):
-        if self.mode not in ("unsigned-family", "signed-unique"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         parts = tuple((g, tuple(e)) for g, e in self.parts)
         object.__setattr__(self, "parts", parts)
+        if len({isinstance(g, SignedBipartiteGraph) for g, _ in parts}) > 1:
+            raise SignMismatch("parts must be all signed or all unsigned")
         for g, e in parts:
-            if self.mode == "signed-unique" and not isinstance(g, SignedBipartiteGraph):
-                raise SignMismatch("signed-unique mode needs SignedBipartiteGraph parts")
             g.check_edge(e)
 
     @staticmethod
@@ -115,6 +111,8 @@ class GluingSpec:
         try:
             obj = json.loads(text)
             mode = obj.get("mode", "unsigned-family")
+            if mode not in ("unsigned-family", "signed-unique"):
+                raise ValueError(f"unknown mode {mode!r}")
             parts = []
             for item in obj["parts"]:
                 if mode == "signed-unique":
@@ -126,47 +124,53 @@ class GluingSpec:
                         else json.dumps(item["graph"])
                     )
                 parts.append((g, tuple(item["edge"])))
-            return GluingSpec(tuple(parts), mode)
+            return GluingSpec(tuple(parts))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad gluing spec: {exc}") from exc
 
 
-def _glue_oriented(parts, orientations) -> LabeledGraph:
-    """Identify every marked edge with the shared edge {0, 1}.
+def _glue_oriented(parts, orientations) -> tuple[LabeledGraph, list[list[int]]]:
+    """Identify every marked edge with the shared edge {0, 1}; also return,
+    per part, the glued vertex of each of its vertices.
 
     orientations[i] flips which endpoint of part i's marked edge becomes 0.
+    The other vertices follow, part by part, in index order.
     """
     edges = [(0, 1)]
     total = 2
+    maps = []
     for (g, (a, b)), flip in zip(parts, orientations):
         if flip:
             a, b = b, a
-        remap = {a: 0, b: 1}
+        remap = [0] * g.vertex_count
+        remap[a], remap[b] = 0, 1
         for v in range(g.vertex_count):
-            if v not in remap:
+            if v not in (a, b):
                 remap[v] = total
                 total += 1
         for u, v in g.edges:
             e = tuple(sorted((remap[u], remap[v])))
             if e != (0, 1):
                 edges.append(e)
-    return LabeledGraph(total, edges)
+        maps.append(remap)
+    return LabeledGraph(total, edges), maps
 
 
 def glue_family(spec: GluingSpec) -> list[LabeledGraph]:
     """All graphs obtainable by gluing the parts along one common edge.
 
     2^(t-1) orientation choices, deduplicated by canonical form; the list is
-    sorted by certificate for determinism.
+    sorted by certificate for determinism.  Signed parts raise SignMismatch:
+    they glue one way, by `signed_glue`.
     """
-    if spec.mode != "unsigned-family":
-        raise ValueError("glue_family needs unsigned-family mode")
     parts = spec.parts
     if not parts:
         raise EdgeGlueError("nothing to glue")
+    if isinstance(parts[0][0], SignedBipartiteGraph):
+        raise SignMismatch("glue_family needs unsigned parts; signed parts glue by signed_glue")
     seen = {}
     for flips in product((False, True), repeat=len(parts) - 1):
-        g = _glue_oriented(parts, (False,) + flips)
+        g = _glue_oriented(parts, (False,) + flips)[0]
         seen.setdefault(canonical_form(g), g)
     return [seen[c] for c in sorted(seen)]
 
@@ -236,24 +240,20 @@ def attach_tree(h: LabeledGraph, v: int, t: LabeledGraph, v_prime: int) -> Label
     return glue_at_vertex(h, v, t, v_prime)
 
 
-def signed_glue(spec: GluingSpec) -> SignedBipartiteGraph:
-    """Identify all marked edges into one shared edge, signs preserved.
+def _signed_glue(parts) -> tuple[SignedBipartiteGraph, list[list[int]]]:
+    """Identify all marked edges into the shared edge (0, 0); also return,
+    per part, the glued vertex of each of its vertices, both on the
+    flattened vertex sets (+ side first).
 
-    Every marked edge's + endpoint maps to the shared + endpoint, so the
-    identification is unique.
+    Each side lists the shared endpoint, then every part's other vertices
+    on that side, part by part, in index order.
     """
-    if spec.mode != "signed-unique":
-        raise ValueError("signed_glue needs signed-unique mode")
-    parts = spec.parts
-    if not parts:
-        raise EdgeGlueError("nothing to glue")
     plus_total, minus_total = 1, 1
     edges = [(0, 0)]
+    side_maps = []
     for g, (fp, fq) in parts:
-        if not isinstance(g, SignedBipartiteGraph):
-            raise SignMismatch("signed_glue needs signed parts")
-        plus_map = {fp: 0}
-        minus_map = {fq: 0}
+        plus_map = [0] * g.plus_count
+        minus_map = [0] * g.minus_count
         for pv in range(g.plus_count):
             if pv != fp:
                 plus_map[pv] = plus_total
@@ -266,7 +266,23 @@ def signed_glue(spec: GluingSpec) -> SignedBipartiteGraph:
             e = (plus_map[pe], minus_map[qe])
             if e != (0, 0):
                 edges.append(e)
-    return SignedBipartiteGraph(plus_total, minus_total, edges)
+        side_maps.append((plus_map, minus_map))
+    maps = [plus_map + [plus_total + q for q in minus_map] for plus_map, minus_map in side_maps]
+    return SignedBipartiteGraph(plus_total, minus_total, edges), maps
+
+
+def signed_glue(spec: GluingSpec) -> SignedBipartiteGraph:
+    """Identify all marked edges into one shared edge, signs preserved.
+
+    Every marked edge's + endpoint maps to the shared + endpoint, so the
+    identification is unique.  Unsigned parts raise SignMismatch.
+    """
+    parts = spec.parts
+    if not parts:
+        raise EdgeGlueError("nothing to glue")
+    if not isinstance(parts[0][0], SignedBipartiteGraph):
+        raise SignMismatch("signed_glue needs signed parts")
+    return _signed_glue(parts)[0]
 
 
 def tree_of_cycles(t: LabeledGraph, cycles: dict, attach: dict) -> LabeledGraph:

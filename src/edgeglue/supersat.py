@@ -27,20 +27,22 @@ from typing import Optional, Union
 
 from .embed import Embedding, _backtrack, count_copies
 from .errors import EmptyCandidateSet, InvalidRootedPattern, PreconditionViolated
-from .gluing import GluingSpec, RootedPattern, _glue_oriented, signed_glue
+from .gluing import RootedPattern, _glue_oriented, _signed_glue
 from .graphs import LabeledGraph, SignedBipartiteGraph, encode_graph6
 from .constructions import SeededSampler
 
 
 @dataclass(frozen=True)
 class FamilyConstraints:
-    """Caps for the greedy builder.  None means unconstrained."""
+    """Caps for the greedy builder.  None means unconstrained.
+
+    `from_cleaning_params` derives both caps from the paper's cleaning
+    parameters A, epsilon and gamma.
+    """
 
     per_edge_cap: Optional[int] = None
     per_pair_cap: Optional[int] = None
     target_size: Optional[int] = None
-    epsilon: Optional[Fraction] = None  # informational: (1+eps) per-edge origin
-    gamma: Optional[Fraction] = None  # informational: gamma per-pair origin
 
     def __post_init__(self):
         for cap in (self.per_edge_cap, self.per_pair_cap, self.target_size):
@@ -54,8 +56,6 @@ class FamilyConstraints:
         return FamilyConstraints(
             per_edge_cap=int((1 + epsilon) * a),
             per_pair_cap=int(gamma * a),
-            epsilon=epsilon,
-            gamma=gamma,
         )
 
 
@@ -157,7 +157,7 @@ def _candidate_stream(fam: BalancedFamily, c: FamilyConstraints, edge_order):
                 break
             if pc is not None and (pc[a] != hc[fixed[a]] or pc[b] != hc[fixed[b]]):
                 continue
-            for emb in _backtrack(fam.pattern.pattern, fam.host, fixed, pc, hc, None):
+            for emb in _backtrack(fam.pattern.pattern, fam.host, fixed, pc, hc):
                 yield emb
                 if cap is not None and degrees.get(e, 0) >= cap:
                     break
@@ -232,8 +232,6 @@ class FamilyReport:
     pair_violations: tuple
     invalid_members: tuple  # (member index, reason) for maps that are not embeddings
     repeated_members: tuple  # indices of members equal to an earlier member
-    property1_target: Optional[float]
-    property1_met: Optional[bool]
 
     @property
     def violation_count(self) -> int:
@@ -263,11 +261,7 @@ def _member_fault(fam: BalancedFamily, emb: Embedding) -> Optional[str]:
     return None
 
 
-def verify_family(
-    fam: BalancedFamily,
-    c: FamilyConstraints,
-    property1_target: Optional[float] = None,
-) -> FamilyReport:
+def verify_family(fam: BalancedFamily, c: FamilyConstraints) -> FamilyReport:
     """Recompute all degrees from the member list and list every cap violation,
     every member that is not an embedding and every repeated member.
     Degrees count the valid members, repeats included."""
@@ -304,15 +298,12 @@ def verify_family(
             if c.per_pair_cap is not None and d > c.per_pair_cap
         )
     )
-    met = None if property1_target is None else fam.size >= property1_target
     return FamilyReport(
         size=fam.size,
         edge_violations=edge_bad,
         pair_violations=pair_bad,
         invalid_members=tuple(invalid),
         repeated_members=tuple(repeated),
-        property1_target=property1_target,
-        property1_met=met,
     )
 
 
@@ -399,38 +390,21 @@ def assemble_glued_copies(
 
 
 def _combine(g, families, chosen, shared, signed) -> GluedCopy:
-    x, y = shared
+    """Glue the families' patterns the way the chosen members meet at the
+    shared edge, and compose each member's map with its part's vertex map."""
     if signed:
-        parts = tuple(
-            (fam.signed_pattern, fam.signed_pattern.side_edge(fam.pattern.distinguished_edge))
-            for fam in families
-        )
-        glued = signed_glue(GluingSpec(parts, mode="signed-unique"))
-        # glued layout, per side: the shared endpoint, then each part's other
-        # vertices in order.  x is the + endpoint: flat hosts put + first.
-        sides = ([x], [y])
-        for fam, emb in zip(families, chosen):
-            marked = fam.pattern.distinguished_edge
-            for v, side in enumerate(fam.signed_pattern.colors):
-                if v not in marked:
-                    sides[side].append(emb.map[v])
-        return GluedCopy(tuple(chosen), glued, tuple(sides[0] + sides[1]))
-    parts = []
-    orientations = []
-    for fam, emb in zip(families, chosen):
-        f = fam.pattern.distinguished_edge
-        parts.append((fam.pattern.pattern, f))
-        orientations.append(emb.map[f[0]] != x)
-    glued = _glue_oriented(parts, orientations)
+        parts = [(f.signed_pattern, f.signed_pattern.side_edge(f.pattern.distinguished_edge))
+                 for f in families]
+        glued, maps = _signed_glue(parts)
+    else:
+        parts = [(f.pattern.pattern, f.pattern.distinguished_edge) for f in families]
+        # flip a part whose marked edge has its first endpoint on shared[1]
+        flips = [emb.map[e[0]] != shared[0] for (_, e), emb in zip(parts, chosen)]
+        glued, maps = _glue_oriented(parts, flips)
     gmap = [0] * glued.vertex_count
-    gmap[0], gmap[1] = x, y
-    nxt = 2
-    for (h, (a, b)), flip, emb in zip(parts, orientations, chosen):
-        for v in range(h.vertex_count):
-            if v in (a, b):
-                continue
-            gmap[nxt] = emb.map[v]
-            nxt += 1
+    for vmap, emb in zip(maps, chosen):
+        for v, u in enumerate(vmap):
+            gmap[u] = emb.map[v]
     return GluedCopy(tuple(chosen), glued, tuple(gmap))
 
 

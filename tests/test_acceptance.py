@@ -109,7 +109,7 @@ def test_criterion_03_gluing_sandwich():
         assert lo <= hi, f"ex({n},C4)={lo} > ex({n},H*)={hi}"
     c4 = signed_cycle(4)
     e = (0, 0)
-    sstar = signed_glue(GluingSpec(((c4, e), (c4, e)), mode="signed-unique"))
+    sstar = signed_glue(GluingSpec(((c4, e), (c4, e))))
     ratios = []
     for n in range(2, 6):
         base = exact_zarankiewicz(n, n, c4).value

@@ -146,7 +146,7 @@ class TestCanonicalForm:
             (signed_cycle(4), "sb:2:2:1111"),
             (
                 signed_glue(
-                    GluingSpec(((signed_cycle(4), (0, 0)), (signed_cycle(4), (0, 0))), "signed-unique")
+                    GluingSpec(((signed_cycle(4), (0, 0)), (signed_cycle(4), (0, 0))))
                 ),
                 "sb:3:3:101011111",
             ),

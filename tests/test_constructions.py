@@ -50,10 +50,6 @@ class TestSampler:
         assert s.child(3).seed == SeededSampler(5).child(3).seed
         assert s.child(0).seed != s.child(1).seed
 
-    def test_unknown_prng_family_rejected(self):
-        with pytest.raises(ValueError):
-            SeededSampler(1, algorithm_id="mt19937")
-
 
 def test_import_leaves_numpy_unloaded():
     """numpy is imported where randomness or the oracle sieve first needs it."""

@@ -1,7 +1,7 @@
 """Embedding enumeration, copy counting, rooted extensions, and freeness."""
 
 import time
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -52,7 +52,7 @@ class TestEnumerate:
     def test_order_is_lexicographic_and_limit_works(self):
         maps = [e.map for e in enumerate_embeddings(cycle(4), cycle(4))]
         assert maps == sorted(maps)
-        limited = list(enumerate_embeddings(cycle(4), cycle(4), limit=3))
+        limited = list(islice(enumerate_embeddings(cycle(4), cycle(4)), 3))
         assert [e.map for e in limited] == maps[:3]
 
     def test_signed_embeddings_respect_sides(self):
@@ -169,7 +169,7 @@ class TestEnumerateCopies:
         multiply to 16, not |Aut| = 8."""
 
         def skip_edge_check(h, colors, fixed):
-            return next(embed._backtrack(h, h, fixed, colors, colors, 1), None) is not None
+            return next(embed._backtrack(h, h, fixed, colors, colors), None) is not None
 
         monkeypatch.setattr(embed, "_extends_to_automorphism", skip_edge_check)
         with pytest.raises(InvariantViolation):

@@ -14,6 +14,7 @@ from edgeglue.errors import (
     InvalidRootedPattern,
     NotATree,
     OddCycleLength,
+    SignMismatch,
 )
 from edgeglue.gluing import (
     GluingSpec,
@@ -198,17 +199,28 @@ class TestSignedGlue:
     def test_three_signed_c4(self):
         c = signed_cycle(4)
         e = next(iter(c.edges))
-        g = signed_glue(GluingSpec(((c, e), (c, e), (c, e)), mode="signed-unique"))
+        g = signed_glue(GluingSpec(((c, e), (c, e), (c, e))))
         assert (g.plus_count, g.minus_count, g.edge_count) == (4, 4, 10)
 
     def test_single_part_is_identity_up_to_relabeling(self):
         c = signed_cycle(6)
-        g = signed_glue(GluingSpec(((c, (0, 0)),), mode="signed-unique"))
+        g = signed_glue(GluingSpec(((c, (0, 0)),)))
         assert canonical_form(g) == canonical_form(c)
+
+    def test_part_types_pick_the_gluing(self):
+        """Signed parts glue only by signed_glue, unsigned parts only by
+        glue_family, and a spec may not mix the two."""
+        c4, sc4 = cycle(4), signed_cycle(4)
+        with pytest.raises(SignMismatch):
+            glue_family(GluingSpec(((sc4, (0, 0)), (sc4, (0, 0)))))
+        with pytest.raises(SignMismatch):
+            GluingSpec(((c4, (0, 1)), (sc4, (0, 0))))
+        with pytest.raises(SignMismatch):
+            signed_glue(GluingSpec(((c4, (0, 1)), (c4, (0, 1)))))
 
     def test_c4_c6_matches_unsigned_glue(self):
         c4, c6 = signed_cycle(4), signed_cycle(6)
-        g = signed_glue(GluingSpec(((c4, (0, 0)), (c6, (0, 0))), mode="signed-unique"))
+        g = signed_glue(GluingSpec(((c4, (0, 0)), (c6, (0, 0)))))
         assert (g.vertex_count, g.edge_count) == (8, 9)
         unsigned = glue_along_edge(cycle(4), (0, 1), cycle(6), (0, 1))
         assert canonical_form(g.as_unsigned()) in {

@@ -140,9 +140,9 @@ class TestVerify:
 
     def test_empty_family_with_target(self):
         fam = build_balanced_family(empty_graph(4), C4_ROOTED, UNCAPPED)
-        report = verify_family(fam, UNCAPPED, property1_target=1)
+        report = verify_family(fam, UNCAPPED)
         assert report.violation_count == 0
-        assert report.property1_met is False
+        assert report.size == 0
 
     def test_builder_output_verifies_clean(self):
         caps = FamilyConstraints(per_edge_cap=2, per_pair_cap=1)
@@ -262,15 +262,18 @@ class TestAssembly:
 
     def test_signed_assembly(self):
         host = signed_complete_bipartite(4, 4)
-        fam = build_signed_balanced_family(host, signed_cycle(4), (0, 0), UNCAPPED)
-        glued = assemble_glued_copies(host, [fam, fam], (0, 4))
-        assert glued is not None
-        assert (glued.glued_pattern.plus_count, glued.glued_pattern.minus_count) == (3, 3)
-        assert glued.glued_pattern.edge_count == 7
         flat_host = host.as_unsigned()
-        flat_pattern = glued.glued_pattern.as_unsigned()
-        for e in flat_pattern.edges:
-            assert flat_host.has_edge(glued.map[e[0]], glued.map[e[1]])
+        fam = build_signed_balanced_family(host, signed_cycle(4), (0, 0), UNCAPPED)
+        for copies, sides, edges in [(2, (3, 3), 7), (3, (4, 4), 10)]:
+            glued = assemble_glued_copies(host, [fam] * copies, (0, 4))
+            assert glued is not None
+            assert (glued.glued_pattern.plus_count, glued.glued_pattern.minus_count) == sides
+            assert glued.glued_pattern.edge_count == edges
+            # the map is an injective, side-preserving embedding of the glued pattern
+            assert len(set(glued.map)) == len(glued.map)
+            assert [host.colors[u] for u in glued.map] == list(glued.glued_pattern.colors)
+            for e in glued.glued_pattern.as_unsigned().edges:
+                assert flat_host.has_edge(glued.map[e[0]], glued.map[e[1]])
 
 
 class TestRoughCount:
