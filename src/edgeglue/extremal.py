@@ -2,13 +2,15 @@
 
 Hosts are edge bitmasks over the complete (or complete signed bipartite)
 host, and forbidden patterns become precomputed copy masks: a host is free
-iff it contains no copy mask as a submask.  Two independent engines share
-this representation:
+iff it contains no copy mask as a submask.  The masks are enumerated once
+in a small host, one just large enough for every pattern, and moved onto
+each of the host's vertex subsets of that size (see `_instance`).  Two
+independent engines share this representation:
 
-* an exhaustive oracle, a numpy sieve that closes the copy masks upward
-  over all bitmasks with one pass per edge slot, however many masks there
-  are (see `exhaustive_max_free`); it shares nothing with the search but
-  the masks, and
+* an exhaustive oracle, a numpy sieve that keeps 64 hosts to a uint64
+  word and closes the copy masks upward over all bitmasks with one pass
+  per edge slot, however many masks there are (see `exhaustive_max_free`);
+  it shares nothing with the search but the masks, and
 * a branch-and-bound DFS over edge slots in lexicographic order, include
   branch first.  It prunes a subtree when the current edges plus the
   undecided slots cannot beat the incumbent, and with the vertex-deletion
@@ -37,6 +39,7 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .canon import CanonicalLabel, canonical_form, decode_canonical
@@ -113,11 +116,21 @@ def _prune_dominated(masks: set[int]) -> list[int]:
 def exhaustive_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, int]:
     """Sieve all 2^nbits hosts; return (max edges, lowest witness mask).
 
-    Hosts go in chunks that share their bits above the low k.  In a chunk
-    with high part H, a host contains a copy mask c iff the high part of c
-    lies in H and its low part c & low is a submask of the host's low part.
-    So the chunk marks c & low for those c and closes the marks upward, one
-    in-place OR per low bit; the unmarked low parts are the free hosts.
+    Hosts go in chunks that share their bits above the low k, and a chunk
+    holds its hosts as bits of uint64 words: low part j is bit j & 63 of
+    word j >> 6.  In a chunk with high part H, a host contains a copy mask c
+    iff the high part of c lies in H and its low part c & low is a submask
+    of the host's low part.  So the chunk marks c & low for those c and
+    closes the marks upward, one OR per low bit: a shift inside each word
+    for bits 0-5, an OR across words for the rest.  The unmarked bits are
+    the free hosts.  A chunk spans at least one word; the bits of hosts past
+    2^nbits are marked too.
+
+    Host j of the chunk has |H| + popcount(j >> 6) + popcount(j & 63)
+    edges.  A table of the word's positions by bit count (0 to 6) gives each
+    word the largest count among its free positions; the first word with
+    the most edges in total holds the chunk's lowest best host, at its
+    lowest free position with that count.
     """
     # imported on first use: `import edgeglue` stays without numpy
     import numpy as np
@@ -126,27 +139,41 @@ def exhaustive_max_free(nbits: int, masks: Sequence[int]) -> tuple[int, int]:
         raise SizeExceeded(f"exhaustive oracle limited to {_ORACLE_MAX_BITS} edge slots")
     if not masks:
         return nbits, (1 << nbits) - 1
-    k = min(nbits, _ORACLE_CHUNK_BITS)
+    k = max(6, min(nbits, _ORACLE_CHUNK_BITS))
     low = (1 << k) - 1
     cs = np.array(masks, dtype=np.uint32)
     c_low, c_high = cs & low, cs & ~np.uint32(low)
-    low_count = np.bitwise_count(np.arange(1 << k, dtype=np.uint32)).astype(np.uint8)
+    # the positions of a word whose bit i is 0, for i < 6, and the positions
+    # with j bits set, for j <= 6
+    zero_at = [np.uint64(sum(1 << b for b in range(64) if not b >> i & 1)) for i in range(6)]
+    with_count = [np.uint64(sum(1 << b for b in range(64) if b.bit_count() == j)) for j in range(7)]
+    word_count = np.bitwise_count(np.arange(1 << (k - 6), dtype=np.uint32)).astype(np.int16)
+    # with fewer than 6 slots, the bits from 2^nbits up in word 0 are no hosts
+    absent = np.uint64((1 << 64) - (1 << (1 << nbits)) if nbits < 6 else 0)
     best, best_mask = -1, 0
     for high in range(0, 1 << nbits, 1 << k):
-        bad = np.zeros(1 << k, dtype=bool)
-        bad[c_low[c_high & high == c_high]] = True
-        if bad[0]:  # the low part 0 lies in every host of the chunk
+        hit = c_low[c_high & high == c_high]
+        bad = np.zeros(1 << (k - 6), dtype=np.uint64)
+        np.bitwise_or.at(bad, hit >> 6, np.uint64(1) << (hit & 63).astype(np.uint64))
+        if bad[0] & 1:  # the low part 0 lies in every host of the chunk
             continue
-        for i in range(k):
+        for i, sel in enumerate(zero_at):
+            bad |= (bad & sel) << np.uint64(1 << i)
+        for i in range(k - 6):
             v = bad.reshape(-1, 2, 1 << i)
             v[:, 1] |= v[:, 0]
-        # free hosts keep their count; the rest score 0, which only the free
-        # host at index 0 also scores, and argmax takes the first maximum
-        score = low_count * ~bad
-        j = int(np.argmax(score))
-        count = int(score[j]) + high.bit_count()
+        bad[0] |= absent
+        free = ~bad
+        # fit[w]: the most bits set at a free position of word w, -64 if none
+        fit = np.full(1 << (k - 6), -64, dtype=np.int16)
+        for j, at_j in enumerate(with_count):
+            fit[(free & at_j) != 0] = j
+        score = word_count + fit
+        w = int(np.argmax(score))
+        count = high.bit_count() + int(score[w])
         if count > best:
-            best, best_mask = count, high | j
+            bits = int(free[w] & with_count[fit[w]])
+            best, best_mask = count, high | w << 6 | (bits & -bits).bit_length() - 1
     return best, best_mask
 
 
@@ -258,17 +285,59 @@ def _fitting(size: tuple[int, ...], patterns) -> list:
     return [h for h in patterns if h.plus_count <= size[0] and h.minus_count <= size[1]]
 
 
-def _instance(size: tuple[int, ...], patterns):
-    """Edge slots and copy masks of the host: K_n for size (n,), the signed
-    K_{m,n} for size (m, n).
-
-    Edge slots are the flattened host's sorted edges: for K_n slot k is the
-    k-th pair (i, j) in lexicographic order, and for the signed K_{m,n} slot
-    p*n+q is the edge (p, q).
-    """
+def _host(size: tuple[int, ...]):
+    """K_n for size (n,), the signed K_{m,n} for size (m, n), and its edge
+    slots: the flattened host's sorted edges, so for K_n slot k is the k-th
+    pair (i, j) in lexicographic order, and for K_{m,n} slot p*n+q is the
+    edge (p, q)."""
     host = complete(*size) if len(size) == 1 else signed_complete_bipartite(*size)
-    slots = (host.as_unsigned() if len(size) == 2 else host).sorted_edges
-    return slots, _copy_masks(host, slots, _fitting(size, patterns))
+    return host, (host.as_unsigned() if len(size) == 2 else host).sorted_edges
+
+
+def _instance(size: tuple[int, ...], patterns):
+    """Edge slots (as `_host` lays them out) and minimal copy masks of the
+    host, sorted by (bit count, value).
+
+    The copies are enumerated once, in a small host: K_K, where K is the
+    most vertices of a fitting pattern, or for K_{m,n} the signed K_{P,Q},
+    where P and Q are the largest + and - sides.  Its minimal masks are
+    moved onto every K-subset of the host's vertices (every P-subset of the
+    + side times every Q-subset of the - side), the i-th vertex of the small
+    host going to the i-th of the subset, and the union is the host's list.
+
+    Every copy lies in such a subset, since it has at most K vertices, so
+    every minimal mask of the host is a minimal mask of some subset and is
+    in the union.  No mask of the union contains another: say a copy mask c
+    lies strictly inside a mask moved into the subset S.  The non-isolated
+    vertices of c's copy lie in S, and its pattern has at most K vertices,
+    so its isolated vertices fit on the rest of S: c is a copy mask of S,
+    and the moved mask was not minimal in S.
+    """
+    slots = _host(size)[1]
+    fitting = _fitting(size, patterns)
+    if not fitting:
+        return slots, []
+    if len(size) == 1:
+        small = (max(h.vertex_count for h in fitting),)
+        images = combinations(range(size[0]), small[0])
+    else:
+        m, n = size
+        small = (max(h.plus_count for h in fitting), max(h.minus_count for h in fitting))
+        images = (
+            plus + tuple(m + q for q in minus)
+            for plus in combinations(range(m), small[0])
+            for minus in combinations(range(n), small[1])
+        )
+    small_host, small_slots = _host(small)
+    local = [[k for k in range(c.bit_length()) if c >> k & 1] for c in _copy_masks(small_host, small_slots, fitting)]
+    # slots are sorted pairs, and every image is increasing, so each small
+    # slot (a, b) with a < b lands on the slot (image[a], image[b])
+    at = {e: 1 << k for k, e in enumerate(slots)}
+    masks = set()
+    for image in images:
+        bit = [at[image[a], image[b]] for a, b in small_slots]
+        masks.update(sum(map(bit.__getitem__, ks)) for ks in local)
+    return slots, sorted(masks, key=lambda c: (c.bit_count(), c))
 
 
 def _delete_vertex(slots, masks, v: int):

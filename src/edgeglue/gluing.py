@@ -11,14 +11,13 @@ trees of even cycles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from .canon import canonical_form
 from .errors import (
     EdgeGlueError,
-    EdgeNotInGraph,
     InvalidAttachIndex,
     InvalidRootedPattern,
     NotATree,

@@ -386,10 +386,10 @@ def assemble_glued_copies(
             return None
         chosen.append(pick)
         occupied |= set(pick.map)
-    return _combine(g, families, chosen, shared, signed)
+    return _combine(families, chosen, shared, signed)
 
 
-def _combine(g, families, chosen, shared, signed) -> GluedCopy:
+def _combine(families, chosen, shared, signed) -> GluedCopy:
     """Glue the families' patterns the way the chosen members meet at the
     shared edge, and compose each member's map with its part's vertex map."""
     if signed:

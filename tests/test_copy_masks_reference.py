@@ -44,6 +44,14 @@ SIGNED = {
     "s3-": (3, 1, ((0, 0), (1, 0), (2, 0))),
     "h*": (3, 3, ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 2))),
 }
+# families whose patterns differ in vertex count, some with isolated
+# vertices, so the largest pattern sets the small host the others are
+# enumerated in
+MIXED = {
+    "c4+h*": [UNSIGNED["c4"], UNSIGNED["h*"]],
+    "k3+c4k1": [(3, ((0, 1), (1, 2), (0, 2))), UNSIGNED["c4+k1"]],
+    "p3k2+k3": [(5, ((0, 1), (1, 2))), (3, ((0, 1), (1, 2), (0, 2)))],
+}
 # sha256 of the JSON list of [case name, masks] over `cases()`, as the
 # front end that enumerated every embedding produced them
 PINNED_DIGEST = "444e73bc6ff197969cb109da9e784fb6bb047612307642ef745f684a535c4254"
@@ -110,6 +118,12 @@ class TestCopyMasksAgainstReference:
     def test_masks_equal_as_sets(self):
         for name, size, specs in cases():
             assert set(front_end_masks(size, specs)) == reference_masks(size, specs), name
+
+    def test_mixed_vertex_counts(self):
+        for name, specs in MIXED.items():
+            for n in range(2, 9):
+                expected = sorted(reference_masks((n,), specs), key=lambda c: (c.bit_count(), c))
+                assert front_end_masks((n,), specs) == expected, (name, n)
 
     def test_mask_lists_are_pinned(self):
         lists = [[name, front_end_masks(size, specs)] for name, size, specs in cases()]

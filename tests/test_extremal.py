@@ -194,8 +194,11 @@ class TestExhaustiveOracle:
             ((7,), [cycle(4)], (9, 42047)),
             ((7,), [HSTAR], (13, 375871)),
             ((5, 5), [signed_cycle(4)], (12, 3319358)),
+            ((5, 5), [SIGNED_HSTAR], (15, 7595868)),
+            # 28 slots: 64 chunks of 2^22 hosts
+            ((4, 7), [signed_cycle(4)], (13, 15095156)),
         ],
-        ids=["ex7-c4", "ex7-hstar", "z55-c4"],
+        ids=["ex7-c4", "ex7-hstar", "z55-c4", "z55-hstar", "z47-c4"],
     )
     def test_pinned_value_and_witness(self, size, patterns, expected):
         slots, masks = extremal._instance(size, patterns)
