@@ -68,25 +68,34 @@ def _refine(nbrs: list[list[int]], colors: list[int], width: int) -> list[int]:
     An individualized vertex of cell 0 has colour -1; pw[-1] counts it in
     the last digit, the same digit as colour k - 1.  2**width must exceed
     every count: width = n.bit_length() does for n vertices.
+
+    On a uniform colouring the first round's keys, less one constant, are
+    the degrees, so that round ranks the degrees.  The rounds stop as soon
+    as the partition is discrete: a discrete partition is equitable, and
+    another round would rank the keys in the same order.
     """
+    n = len(colors)
+    keys = list(map(len, nbrs)) if n and colors.count(colors[0]) == n else None
     while True:
-        k = max(colors) + 1 if colors else 0
-        pw = [1 << width * (k - 1 - c) for c in range(k)]
-        digit = [pw[c] for c in colors]
-        shift = width * k
-        keys = [(c << shift) + sum([digit[u] for u in nb]) for c, nb in zip(colors, nbrs)]
+        if keys is None:
+            k = max(colors) + 1 if colors else 0
+            pw = [1 << width * (k - 1 - c) for c in range(k)]
+            digit = [pw[c] for c in colors]
+            shift = width * k
+            keys = [(c << shift) + sum(map(digit.__getitem__, nb)) for c, nb in zip(colors, nbrs)]
         rank = {key: i for i, key in enumerate(sorted(set(keys)))}
         new_colors = [rank[key] for key in keys]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+        if len(rank) == n or new_colors == colors:
+            return new_colors
+        colors, keys = new_colors, None
 
 
 def _cells(colors: list[int]) -> list[list[int]]:
-    cells: dict[int, list[int]] = {}
+    """The colour classes of a refined colouring, whose colours are 0..k-1."""
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        cells[c].append(v)
+    return cells
 
 
 def _certificate_for_order(nbrs: list[list[int]], order: list[int]) -> int:
@@ -103,9 +112,14 @@ def _certificate_for_order(nbrs: list[list[int]], order: list[int]) -> int:
     top = n * (n - 1) // 2 - 1
     # bit of pair (i, j) sits at top - (j(j-1)/2 + i)
     row = [top - j * (j - 1) // 2 for j in range(n)]
-    return sum(
-        [1 << row[pos[v]] - pos[u] for v in range(n) for u in nbrs[v] if pos[u] < pos[v]]
-    )
+    cert = 0
+    for i, v in enumerate(order):
+        r = row[i]
+        for u in nbrs[v]:
+            j = pos[u]
+            if j < i:
+                cert |= 1 << r - j
+    return cert
 
 
 def _is_color_complete(adj, cells) -> bool:

@@ -3,10 +3,13 @@
 Embeddings are labeled: the map sends pattern vertex i to a distinct host
 vertex, and every pattern edge lands on a host edge (non-induced).  Signed
 embeddings additionally keep the + side of the pattern inside the + side of
-the host.  Enumeration is a bitset backtracker that assigns pattern vertices
-in index order with ascending candidates, so the stream is lexicographic on
-the map tuple.  Every stream is a lazy generator: a caller that needs only
-the first maps takes them with next() or itertools.islice.
+the host.  Enumeration is one loop over a stack of candidate bitmasks, one
+level per pattern vertex: each level's mask starts from one computed before
+the loop (degree, colour and fixed neighbours) and is cut by the images of
+the earlier levels.  Pattern vertices are assigned in index order with
+ascending candidates, so the stream is lexicographic on the map tuple.
+Every stream is a lazy generator: a caller that needs only the first maps
+takes them with next() or itertools.islice.
 
 A copy of H is the image of an embedding, and every copy is the image of
 exactly |Aut(H)| embeddings: f and f∘σ for the automorphisms σ.
@@ -76,71 +79,87 @@ def _backtrack(
     Each condition (v, w) asks map[v] < map[w]; v must be fixed or come
     before w in index order, so it is placed when w's candidates are drawn.
     With induced, pattern non-edges must land on host non-edges too.
+
+    The vertices not in fixed are placed in index order, one level each.
+    Before the loop, each level gets a static mask: the host vertices of at
+    least its pattern vertex's degree and of its colour, adjacent to the
+    images of its fixed neighbours (under induced, not adjacent to those of
+    its fixed non-neighbours) and above the images of its fixed lower
+    bounds.  A level's candidates are its static mask less the used
+    vertices, cut down by the images of the earlier levels it depends on;
+    the stack holds each level's candidates not yet tried.
     """
     pn, hn = pattern.vertex_count, host.vertex_count
     if pn > hn:
         return
     padj, hadj = pattern.adjacency, host.adjacency
-    pdeg, hdeg = pattern.degrees, host.degrees
     image = [-1] * pn
     used = 0
     for v, u in fixed.items():
         image[v] = u
         used |= 1 << u
-    full_mask = (1 << hn) - 1
-    if induced:
-        pnon = [(1 << pn) - 1 & ~padj[v] & ~(1 << v) for v in range(pn)]
-    below: list[list[int]] = [[] for _ in range(pn)]
-    for v, w in conditions:
-        below[w].append(v)
-
-    def candidates(v: int) -> Iterator[int]:
-        mask = full_mask & ~used
-        for a in below[v]:
-            mask &= -2 << image[a]  # host vertices above image[a]
-        # intersect host neighborhoods of already-placed pattern neighbors
-        m = padj[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if image[w] >= 0:
-                mask &= hadj[image[w]]
-        if induced:
-            m = pnon[v]
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                if image[w] >= 0:
-                    mask &= ~hadj[image[w]]
-        dv = pdeg[v]
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            if hdeg[u] < dv:
-                continue
-            if pattern_colors is not None and pattern_colors[v] != host_colors[u]:
-                continue
-            yield u
-
     order = [v for v in range(pn) if v not in fixed]
-
-    def place(idx: int) -> Iterator[Embedding]:
-        nonlocal used
-        if idx == len(order):
+    depth = len(order)
+    if not depth:
+        yield Embedding(pattern, host, tuple(image))
+        return
+    hdeg = host.degrees
+    at_least = {}  # pattern degree -> host vertices of at least that degree
+    for d in set(pattern.degrees[v] for v in order):
+        at_least[d] = sum(1 << u for u in range(hn) if hdeg[u] >= d)
+    if pattern_colors is not None:
+        colour_class: dict[int, int] = {}
+        for u in range(hn):
+            colour_class[host_colors[u]] = colour_class.get(host_colors[u], 0) | 1 << u
+    lower: list[list[int]] = [[] for _ in range(pn)]
+    for v, w in conditions:
+        lower[w].append(v)
+    static, adjacent, apart, above = [], [], [], []
+    for i, v in enumerate(order):
+        mask = at_least[pattern.degrees[v]]
+        if pattern_colors is not None:
+            mask &= colour_class.get(pattern_colors[v], 0)
+        for w, u in fixed.items():
+            if padj[v] >> w & 1:
+                mask &= hadj[u]
+            elif induced:
+                mask &= ~hadj[u]
+        for w in lower[v]:
+            if w in fixed:
+                mask &= -2 << fixed[w]  # host vertices above fixed[w]
+        static.append(mask)
+        earlier = order[:i]
+        adjacent.append([w for w in earlier if padj[v] >> w & 1])
+        apart.append([w for w in earlier if not padj[v] >> w & 1] if induced else [])
+        above.append([w for w in lower[v] if w not in fixed])
+    last = depth - 1
+    stack = [0] * depth
+    stack[0] = static[0] & ~used  # level 0 has no earlier level
+    i = 0
+    while True:
+        mask = stack[i]
+        if not mask:
+            if not i:
+                return
+            i -= 1
+            used ^= 1 << image[order[i]]
+            continue
+        low = mask & -mask
+        stack[i] = mask ^ low
+        image[order[i]] = low.bit_length() - 1
+        if i == last:
             yield Embedding(pattern, host, tuple(image))
-            return
-        v = order[idx]
-        for u in candidates(v):
-            image[v] = u
-            used |= 1 << u
-            yield from place(idx + 1)
-            used ^= 1 << u
-            image[v] = -1
-
-    yield from place(0)
+            continue
+        used |= low
+        i += 1
+        mask = static[i] & ~used
+        for w in adjacent[i]:
+            mask &= hadj[image[w]]
+        for w in apart[i]:
+            mask &= ~hadj[image[w]]
+        for w in above[i]:
+            mask &= -2 << image[w]
+        stack[i] = mask
 
 
 def _flatten(h, g):

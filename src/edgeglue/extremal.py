@@ -347,12 +347,25 @@ def _delete_vertex(slots, masks, v: int):
     the slots that avoid v, in order and with the vertices above v shifted
     down, are the smaller host's slots as `_instance` lays them out.  Its
     copies are the copies that avoid v, so its minimal copy masks are the
-    minimal masks that avoid v, moved to the new slot numbers.
+    minimal masks that avoid v, moved to the new slot numbers: each set bit
+    of a mask goes to its slot's new bit.
     """
     kept = [k for k, e in enumerate(slots) if v not in e]
     at_v = sum(1 << k for k, e in enumerate(slots) if v in e)
     sub_slots = [(a - (a > v), b - (b > v)) for a, b in (slots[k] for k in kept)]
-    sub_masks = [sum(1 << j for j, k in enumerate(kept) if c >> k & 1) for c in masks if not c & at_v]
+    new_bit = [0] * len(slots)
+    for j, k in enumerate(kept):
+        new_bit[k] = 1 << j
+    sub_masks = []
+    for c in masks:
+        if c & at_v:
+            continue
+        sub = 0
+        while c:
+            low = c & -c
+            sub |= new_bit[low.bit_length() - 1]
+            c ^= low
+        sub_masks.append(sub)
     return sub_slots, sub_masks
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeglue.canon import (
+    _refine,
     automorphism_count,
     automorphism_count_bruteforce,
     canonical_form,
@@ -88,6 +89,106 @@ def shrikhande():
             if ((cells[j][0] - cells[i][0]) % 4, (cells[j][1] - cells[i][1]) % 4) in steps
         ],
     )
+
+
+def neighbour_lists(g):
+    nbrs = [[] for _ in range(g.vertex_count)]
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
+
+
+def reference_refine(nbrs, colors, width):
+    """Colour refinement as first written: full rounds until a round changes nothing."""
+    while True:
+        k = max(colors) + 1 if colors else 0
+        pw = [1 << width * (k - 1 - c) for c in range(k)]
+        digit = [pw[c] for c in colors]
+        shift = width * k
+        keys = [(c << shift) + sum([digit[u] for u in nb]) for c, nb in zip(colors, nbrs)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new_colors = [rank[key] for key in keys]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+class TestRefine:
+    """`_refine` returns what the plain fixed-point loop returns, for every
+    kind of colouring the search gives it."""
+
+    @staticmethod
+    def check(g, colors):
+        nbrs, width = neighbour_lists(g), g.vertex_count.bit_length()
+        got = _refine(nbrs, list(colors), width)
+        assert got == reference_refine(nbrs, list(colors), width)
+        return got
+
+    @staticmethod
+    def individualized(colors, v):
+        """The colouring of the child that individualizes v, as the search makes it."""
+        branch = [c * 2 for c in colors]
+        branch[v] -= 1
+        return branch
+
+    def test_random_graphs_from_uniform_colourings(self):
+        rnd = random.Random(5)
+        for _ in range(200):
+            n = rnd.randint(2, 24)
+            p = rnd.choice([0.1, 0.3, 0.5, 0.8])
+            g = LabeledGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p])
+            self.check(g, [0] * n)
+            self.check(g, [rnd.randint(1, 5)] * n)
+
+    @pytest.mark.parametrize(
+        "g", [cycle(7), complete(5), complete_bipartite(3, 3), hypercube(4), rook(4), shrikhande(), empty_graph(4)]
+    )
+    def test_regular_graphs_stay_one_class(self, g):
+        assert self.check(g, [0] * g.vertex_count) == [0] * g.vertex_count
+        assert self.check(g, [3] * g.vertex_count) == [0] * g.vertex_count
+
+    def test_disconnected_graphs(self):
+        g = LabeledGraph(9, list(cycle(4).edges) + [(4, 5), (5, 6), (6, 4), (7, 8)])
+        self.check(g, [0] * 9)
+        two_triangles = LabeledGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert self.check(two_triangles, [0] * 6) == [0] * 6
+
+    def test_individualized_colourings(self):
+        rnd = random.Random(7)
+        seen_minus_one = 0
+        graphs_ = [hypercube(3), rook(3), shrikhande(), cycle(6), complete_bipartite(2, 4)]
+        graphs_ += [LabeledGraph(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if rnd.random() < 0.3])]
+        for g in graphs_:
+            colors = self.check(g, [0] * g.vertex_count)
+            for _ in range(3):  # down three levels of the tree
+                cells = {}
+                for v, c in enumerate(colors):
+                    cells.setdefault(c, []).append(v)
+                target = min((c for c in cells if len(cells[c]) > 1), default=None)
+                if target is None:
+                    break
+                for v in cells[target]:
+                    branch = self.individualized(colors, v)
+                    seen_minus_one += -1 in branch
+                    self.check(g, branch)
+                colors = self.check(g, self.individualized(colors, cells[target][0]))
+        assert seen_minus_one > 0
+
+    def test_signed_two_class_colourings(self):
+        rnd = random.Random(11)
+        graphs_ = [signed_cycle(4), signed_complete_bipartite(3, 3), signed_star(3), SignedBipartiteGraph(2, 3)]
+        for _ in range(50):
+            m, n = rnd.randint(1, 6), rnd.randint(1, 6)
+            cells = [(p, q) for p in range(m) for q in range(n)]
+            graphs_.append(SignedBipartiteGraph(m, n, [e for e in cells if rnd.random() < 0.5]))
+        for h in graphs_:
+            self.check(h.as_unsigned(), h.colors)
+
+    def test_zero_and_one_vertex(self):
+        assert self.check(LabeledGraph(0), []) == []
+        assert self.check(LabeledGraph(1), [0]) == [0]
+        assert self.check(LabeledGraph(1), [4]) == [0]
 
 
 class TestCanonicalForm:

@@ -1,7 +1,7 @@
 """Embedding enumeration, copy counting, rooted extensions, and freeness."""
 
 import time
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from edgeglue.graphs import (
     path,
     signed_complete_bipartite,
     signed_cycle,
+    star,
 )
 
 
@@ -234,6 +235,159 @@ class TestExtensions:
                 if x != y and host.has_edge(x, y):
                     total += sum(1 for _ in enumerate_extensions({0: x, 1: y}, p, host))
         assert total == count_embeddings(cycle(4), host)
+
+
+def permitted_maps(h, g, fixed=None, colors=None, host_colors=None, conditions=(), induced=False):
+    """Every map of the permitted kind, sorted, from all injective images
+    of h's vertices in g: it extends fixed, keeps colours, sends edges to
+    edges (and under induced non-edges to non-edges) and meets every
+    condition (v, w), map[v] < map[w]."""
+    fixed = fixed or {}
+    out = []
+    for img in permutations(range(g.vertex_count), h.vertex_count):
+        if any(img[v] != u for v, u in fixed.items()):
+            continue
+        if colors is not None and any(colors[v] != host_colors[u] for v, u in enumerate(img)):
+            continue
+        if not all(g.has_edge(img[a], img[b]) for a, b in h.edges):
+            continue
+        if induced and any(
+            g.has_edge(img[a], img[b]) for a, b in combinations(range(h.vertex_count), 2) if not h.has_edge(a, b)
+        ):
+            continue
+        if any(img[v] >= img[w] for v, w in conditions):
+            continue
+        out.append(img)
+    return sorted(out)
+
+
+def stream(h, g, fixed=None, colors=None, host_colors=None, conditions=(), induced=False):
+    return [e.map for e in embed._backtrack(h, g, fixed or {}, colors, host_colors, conditions, induced)]
+
+
+def random_partial_map(rng, h, g, size, induced=False):
+    """A random injective map of `size` pattern vertices that keeps the
+    adjacency among themselves, as _backtrack trusts its fixed pairs to;
+    None when the draw breaks it."""
+    domain = sorted(rng.choice(h.vertex_count, size, replace=False).tolist())
+    images = rng.choice(g.vertex_count, size, replace=False).tolist()
+    fixed = dict(zip(domain, images))
+    for a, b in combinations(domain, 2):
+        if h.has_edge(a, b) and not g.has_edge(fixed[a], fixed[b]):
+            return None
+        if induced and not h.has_edge(a, b) and g.has_edge(fixed[a], fixed[b]):
+            return None
+    return fixed
+
+
+class TestBacktrackStream:
+    """The backtracker's stream, order included, equals every permitted map
+    found by trying all injective images, sorted."""
+
+    def test_unsigned_pairs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            h = random_graph(rng, int(rng.integers(1, 6)))
+            g = random_graph(rng, int(rng.integers(1, 8)))
+            assert stream(h, g) == permitted_maps(h, g)
+            assert stream(h, g, induced=True) == permitted_maps(h, g, induced=True)
+
+    def test_signed_pairs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            m, n = rng.integers(0, 4, size=2).tolist()
+            h = SignedBipartiteGraph(m, n, [(p, q) for p in range(m) for q in range(n) if rng.random() < 0.6])
+            m, n = rng.integers(1, 5, size=2).tolist()
+            g = SignedBipartiteGraph(m, n, [(p, q) for p in range(m) for q in range(n) if rng.random() < 0.6])
+            hf, gf = h.as_unsigned(), g.as_unsigned()
+            expected = permitted_maps(hf, gf, colors=h.colors, host_colors=g.colors)
+            assert [e.map for e in enumerate_embeddings(h, g)] == expected
+            assert stream(hf, gf, colors=h.colors, host_colors=g.colors) == expected
+
+    def test_fixed_partial_maps(self):
+        rng = np.random.default_rng(19)
+        checked = 0
+        while checked < 60:
+            h = random_graph(rng, int(rng.integers(2, 6)))
+            g = random_graph(rng, int(rng.integers(h.vertex_count, 8)))
+            fixed = random_partial_map(rng, h, g, int(rng.integers(1, h.vertex_count + 1)))
+            if fixed is None:
+                continue
+            checked += 1
+            assert stream(h, g, fixed) == permitted_maps(h, g, fixed)
+            # conditions (v, w) on a placed w, with v fixed or placed before it
+            pairs = permutations(range(h.vertex_count), 2)
+            pairs = [(v, w) for v, w in pairs if w not in fixed and (v < w or v in fixed)]
+            conditions = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(0, 3))]]
+            assert stream(h, g, fixed, conditions=conditions) == permitted_maps(h, g, fixed, conditions=conditions)
+            fixed = random_partial_map(rng, h, g, int(rng.integers(1, h.vertex_count + 1)), induced=True)
+            if fixed is not None:
+                assert stream(h, g, fixed, induced=True) == permitted_maps(h, g, fixed, induced=True)
+
+    def test_extensions_of_rooted_patterns(self):
+        host = random_graph(np.random.default_rng(23), 7)
+        for h, e in [(cycle(4), (0, 1)), (cycle(5), (1, 2)), (path(4), (1, 2)), (C4_PLUS_ISOLATED, (2, 3))]:
+            p = edge_rooted(h, e)
+            for x, y in host.sorted_edges:
+                for psi in ({e[0]: x, e[1]: y}, {e[0]: y, e[1]: x}):
+                    maps = [emb.map for emb in enumerate_extensions(psi, p, host)]
+                    assert maps == permitted_maps(h, host, psi)
+
+    def test_copies_under_conditions(self):
+        rng = np.random.default_rng(29)
+        patterns = [cycle(4), path(4), star(3), C4_PLUS_ISOLATED, LabeledGraph(4, [(0, 1), (2, 3)])]
+        for h in patterns:
+            conditions, _ = embed._symmetry_conditions(h, None)
+            for _ in range(4):
+                g = random_graph(rng, int(rng.integers(h.vertex_count, 8)))
+                expected = permitted_maps(h, g, conditions=conditions)
+                assert stream(h, g, conditions=conditions) == expected
+                assert [e.map for e in enumerate_copies(h, g)] == expected == orbit_least_maps(h, g)
+
+    def test_induced_search_finds_the_automorphisms(self):
+        rng = np.random.default_rng(31)
+        graphs_ = [random_graph(rng, int(rng.integers(1, 7))) for _ in range(25)]
+        graphs_ += [cycle(5), complete_bipartite(2, 3), C4_PLUS_ISOLATED, LabeledGraph(4)]
+        for h in graphs_:
+            n = h.vertex_count
+            auts = permitted_maps(h, h, induced=True)
+            assert len(auts) == automorphism_count(h)
+            assert stream(h, h, induced=True) == auts
+            for v in range(n):
+                for w in range(v, n):
+                    fixed = {u: u for u in range(v)} | {v: w}
+                    agree = [s for s in auts if all(s[a] == b for a, b in fixed.items())]
+                    assert embed._extends_to_automorphism(h, None, fixed) == bool(agree)
+                    # the stream trusts fixed to keep its own adjacencies
+                    if all(h.has_edge(a, b) == h.has_edge(fixed[a], fixed[b]) for a, b in combinations(fixed, 2)):
+                        assert stream(h, h, fixed, induced=True) == agree
+
+    def test_signed_induced_search_keeps_the_sides(self):
+        for h in [signed_cycle(4), signed_complete_bipartite(2, 3), SignedBipartiteGraph(2, 2, [(0, 0), (1, 1)])]:
+            flat = h.as_unsigned()
+            auts = permitted_maps(flat, flat, colors=h.colors, host_colors=h.colors, induced=True)
+            assert len(auts) == signed_automorphism_count(h)
+            assert stream(flat, flat, colors=h.colors, host_colors=h.colors, induced=True) == auts
+
+    def test_hosts_below_the_pattern_degree(self):
+        # the host's leaves and isolated vertices are below the star centre's degree
+        host = LabeledGraph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6), (1, 2)])
+        for h in [star(3), star(2), path(3), LabeledGraph(3, [(0, 1)])]:
+            assert stream(h, host) == permitted_maps(h, host)
+
+    def test_isolated_pattern_vertices(self):
+        host = LabeledGraph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+        for h in [C4_PLUS_ISOLATED, LabeledGraph(2), LabeledGraph(3, [(1, 2)])]:
+            assert stream(h, host) == permitted_maps(h, host)
+            assert stream(h, host, induced=True) == permitted_maps(h, host, induced=True)
+
+    def test_all_fixed_map_is_yielded_once(self):
+        assert stream(cycle(4), complete(5), {0: 4, 1: 2, 2: 0, 3: 1}) == [(4, 2, 0, 1)]
+        assert stream(LabeledGraph(0), complete(3)) == [()]
+
+    def test_pattern_larger_than_host(self):
+        assert stream(path(3), complete(2)) == []
+        assert stream(LabeledGraph(3), LabeledGraph(2), {0: 0, 1: 1}) == []
 
 
 class TestIsFree:

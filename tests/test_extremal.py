@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 import zlib
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeglue import extremal, store
+from edgeglue.canon import canonical_form
 from edgeglue.embed import is_free
 from edgeglue.errors import (
     CorruptStore,
@@ -344,6 +346,55 @@ class TestDeleteVertex:
             for n in range(1, 6):
                 self.assert_derived((m, n), (m - 1, n), m - 1, [h])
                 self.assert_derived((m, n), (m, n - 1), m + n - 1, [h])
+
+    @staticmethod
+    def reference(slots, masks, v):
+        """The re-pack as first written: every kept slot tested in every mask."""
+        kept = [k for k, e in enumerate(slots) if v not in e]
+        at_v = sum(1 << k for k, e in enumerate(slots) if v in e)
+        sub_slots = [(a - (a > v), b - (b > v)) for a, b in (slots[k] for k in kept)]
+        return sub_slots, [sum(1 << j for j, k in enumerate(kept) if c >> k & 1) for c in masks if not c & at_v]
+
+    @staticmethod
+    def benchmark_instances():
+        """(size, patterns) of the benchmark's sweep and proof queries."""
+        connected = {}
+        for k in (4, 5):
+            pairs = list(combinations(range(k), 2))
+            for bits in range(1 << len(pairs)):
+                g = LabeledGraph(k, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                if g.is_connected():
+                    connected.setdefault(canonical_form(g), g)
+        graphs = list(connected.values())
+        for h in graphs:
+            for n in range(h.vertex_count, 8 if h.vertex_count == 4 else 7):
+                yield (n,), [h]
+        for a, b in combinations([h for h in graphs if h.vertex_count == 4], 2):
+            for n in range(4, 8):
+                yield (n,), [a, b]
+        signed = [signed_cycle(4), signed_cycle(6), signed_star(2), signed_star(3), SIGNED_HSTAR]
+        signed += [SignedBipartiteGraph(2, 3, [(p, q) for p in range(2) for q in range(3)])]
+        signed += [SignedBipartiteGraph(h.minus_count, h.plus_count, [(q, p) for p, q in h.edges]) for h in signed]
+        for h in signed:
+            for m in range(2, 5):
+                for n in range(m, 5):
+                    yield (m, n), [h]
+        yield (8,), [cycle(4)]
+        yield (7,), [HSTAR]
+        yield (5, 5), [signed_cycle(4)]
+        yield (5, 5), [SIGNED_HSTAR]
+
+    def test_matches_the_reference_formula(self):
+        count = 0
+        for size, patterns in self.benchmark_instances():
+            slots, masks = extremal._instance(size, patterns)
+            # the last vertex of K_n, or of either side of K_{m,n}
+            for v in {size[0] - 1, sum(size) - 1}:
+                assert extremal._delete_vertex(slots, masks, v) == self.reference(slots, masks, v)
+                count += 1
+        # 6 and 21 connected graphs on 4 and 5 vertices, 15 pairs, 12 signed
+        # patterns on 6 hosts with two deletions each, 6 proof deletions
+        assert count == 6 * 4 + 21 * 2 + 15 * 4 + 12 * 6 * 2 + 6
 
 
 class TestWitnessCheck:
