@@ -11,18 +11,17 @@ from edgeglue.gluing import (
     GluingSpec,
     attach_tree,
     edge_rooted,
-    family_to_graph6,
     glue_along_edge,
     glue_copies_along_forest,
     signed_glue,
     tree_of_cycles,
 )
-from edgeglue.graphs import LabeledGraph, cycle, path, signed_cycle
+from edgeglue.graphs import LabeledGraph, cycle, encode_graph6, path, signed_cycle
 
 # Two paths P3 glued along an edge: one orientation gives the star K_{1,3},
 # the other gives the path P4.
 fam = glue_along_edge(path(3), (0, 1), path(3), (0, 1))
-print("P3 + P3 along an edge:", family_to_graph6(fam))
+print("P3 + P3 along an edge:", [encode_graph6(g) for g in fam])
 for g in fam:
     print("  ", canonical_form(g), "->", g.vertex_count, "vertices,", g.edge_count, "edges")
 

@@ -19,15 +19,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds, constructions, extremal, gluing, store, supersat
-from .errors import EdgeGlueError, EdgeNotInGraph, InvalidRootedPattern, ParseError
-from .graphs import (
-    LabeledGraph,
-    SignedBipartiteGraph,
-    decode_graph6,
-    encode_graph6,
-    parse_graph,
-    parse_signed_graph,
-)
+from .errors import EdgeGlueError, EdgeNotInGraph, InvalidRootedPattern
+from .graphs import LabeledGraph, encode_graph6, parse_graph, parse_signed_graph
 
 STORE_ENV = "EDGEGLUE_STORE"
 
@@ -255,47 +248,11 @@ def cmd_supersat(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.family, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(args.family, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise EdgeGlueError(f"cannot read family file: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"family file is not JSON: {exc}") from exc
-    from .embed import Embedding
-
-    try:
-        host = decode_graph6(payload["host"])
-        pattern = decode_graph6(payload["pattern"])
-        p = gluing.RootedPattern(
-            pattern,
-            tuple(payload["roots"]),
-            frozenset(tuple(e) for e in payload["root_edges"]),
-            tuple(payload["distinguished_edge"]),
-        )
-        members = []
-        for m in payload["members"]:
-            if not (isinstance(m, list) and all(type(v) is int for v in m)):
-                raise TypeError(f"member {m!r} is not a list of ints")
-            members.append(Embedding(pattern, host, tuple(m)))
-        signed = [None, None]
-        if "signed_host" in payload:
-            signed = [
-                SignedBipartiteGraph.from_json(json.dumps(payload[k]))
-                for k in ("signed_host", "signed_pattern")
-            ]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"family file lacks a field or has the wrong shape: {exc!r}") from exc
-    if signed[0] is not None and [g.as_unsigned() for g in signed] != [host, pattern]:
-        raise ParseError("signed_host or signed_pattern does not flatten to host or pattern")
-    fam = supersat.BalancedFamily(
-        host=host,
-        pattern=p,
-        members=members,
-        edge_degrees={},
-        pair_degrees={},
-        signed_host=signed[0],
-        signed_pattern=signed[1],
-    )
+    fam = supersat.BalancedFamily.from_json(data)
     caps = supersat.FamilyConstraints(
         per_edge_cap=args.per_edge_cap, per_pair_cap=args.per_pair_cap
     )

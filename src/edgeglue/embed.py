@@ -50,9 +50,6 @@ class Embedding:
     host: LabeledGraph
     map: tuple[int, ...]
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.map)
-
     def image_edge(self, e) -> tuple[int, int]:
         a, b = self.map[e[0]], self.map[e[1]]
         return (a, b) if a < b else (b, a)

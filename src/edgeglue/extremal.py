@@ -446,7 +446,6 @@ class ExtremalRecord:
     witness: str  # graph6 (turan) or sb:m:n:bits (zarankiewicz) of the witness
     method: str  # "oracle" | "branch-and-bound" | "cached"
     runtime_ms: int
-    seed: Optional[int] = None
     timestamp: str = ""
 
     def key(self) -> tuple:
@@ -497,7 +496,6 @@ class ExtremalRecord:
             witness=d["witness"],
             method=d["method"],
             runtime_ms=d["runtime_ms"],
-            seed=d.get("seed"),
             timestamp=d.get("timestamp", ""),
         )
 

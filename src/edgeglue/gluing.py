@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     SignMismatch,
 )
-from .graphs import LabeledGraph, SignedBipartiteGraph, component_roots, encode_graph6, parse_graph
+from .graphs import LabeledGraph, SignedBipartiteGraph, component_roots, parse_graph
 
 
 @dataclass(frozen=True)
@@ -128,31 +128,40 @@ class GluingSpec:
             raise ParseError(f"bad gluing spec: {exc}") from exc
 
 
+def _identify(shared: int, parts) -> tuple[LabeledGraph, list[list[int]]]:
+    """Lay out the parts as one graph; also return, per part, the glued
+    vertex of each of its vertices.
+
+    Each part is (graph, {vertex: glued id}).  Ids 0..shared-1 are the shared
+    vertices; every other vertex gets a fresh id, part by part, in index
+    order.  A part may also name an id an earlier part laid out.
+    """
+    total = shared
+    edges = []
+    maps = []
+    for g, fixed in parts:
+        remap = []
+        for v in range(g.vertex_count):
+            if v in fixed:
+                remap.append(fixed[v])
+            else:
+                remap.append(total)
+                total += 1
+        edges.extend((remap[a], remap[b]) for a, b in g.edges)
+        maps.append(remap)
+    return LabeledGraph(total, edges), maps
+
+
 def _glue_oriented(parts, orientations) -> tuple[LabeledGraph, list[list[int]]]:
     """Identify every marked edge with the shared edge {0, 1}; also return,
     per part, the glued vertex of each of its vertices.
 
     orientations[i] flips which endpoint of part i's marked edge becomes 0.
-    The other vertices follow, part by part, in index order.
     """
-    edges = [(0, 1)]
-    total = 2
-    maps = []
-    for (g, (a, b)), flip in zip(parts, orientations):
-        if flip:
-            a, b = b, a
-        remap = [0] * g.vertex_count
-        remap[a], remap[b] = 0, 1
-        for v in range(g.vertex_count):
-            if v not in (a, b):
-                remap[v] = total
-                total += 1
-        for u, v in g.edges:
-            e = tuple(sorted((remap[u], remap[v])))
-            if e != (0, 1):
-                edges.append(e)
-        maps.append(remap)
-    return LabeledGraph(total, edges), maps
+    return _identify(2, [
+        (g, {b: 0, a: 1} if flip else {a: 0, b: 1})
+        for (g, (a, b)), flip in zip(parts, orientations)
+    ])
 
 
 def glue_family(spec: GluingSpec) -> list[LabeledGraph]:
@@ -199,37 +208,14 @@ def glue_copies_along_forest(p: RootedPattern, s: int) -> LabeledGraph:
                 f"H-edge {(a, b)} lies inside the root set but is not a root edge"
             )
     index = {v: i for i, v in enumerate(p.root_vertices)}
-    ell = p.ell
-    edges = [(index[a], index[b]) for a, b in p.root_edges]
-    total = ell
-    for _ in range(s):
-        remap = dict(index)
-        for v in range(h.vertex_count):
-            if v not in remap:
-                remap[v] = total
-                total += 1
-        for a, b in h.edges:
-            if (a, b) in p.root_edges:
-                continue
-            edges.append((remap[a], remap[b]))
-    return LabeledGraph(total, edges)
+    return _identify(p.ell, [(h, index)] * s)[0]
 
 
 def glue_at_vertex(h1: LabeledGraph, u: int, h2: LabeledGraph, v: int) -> LabeledGraph:
     """Identify u in h1 with v in h2; disjoint otherwise."""
     h1.check_vertex(u)
     h2.check_vertex(v)
-    n1 = h1.vertex_count
-    remap = {}
-    total = n1
-    for w in range(h2.vertex_count):
-        if w == v:
-            remap[w] = u
-        else:
-            remap[w] = total
-            total += 1
-    edges = list(h1.edges) + [(remap[a], remap[b]) for a, b in h2.edges]
-    return LabeledGraph(total, edges)
+    return _identify(0, [(h1, {}), (h2, {v: u})])[0]
 
 
 def attach_tree(h: LabeledGraph, v: int, t: LabeledGraph, v_prime: int) -> LabeledGraph:
@@ -335,6 +321,3 @@ def tree_of_cycles(t: LabeledGraph, cycles: dict, attach: dict) -> LabeledGraph:
         )
     return result
 
-
-def family_to_graph6(family) -> list[str]:
-    return [encode_graph6(g) for g in family]

@@ -4,31 +4,34 @@ A balanced family is a set of embeddings of a pattern H into a host G with
 two multiplicity caps: no host edge is the image of the distinguished
 pattern edge too often (per-edge cap), and no rooted copy psi of the
 subforest F extends through any fixed extra vertex u too often (per-pair
-cap).  The builder recruits embeddings greedily in a deterministic order:
-grouped by the host edge e the distinguished edge lands on, both
-orientations of e, lexicographic inside each.  Because both degree maps only
-ever grow, a single pass is maximal: any embedding rejected once stays
-unrecruitable.
+cap).  A BalancedFamily holds only its members; the builder counts the
+degrees in a `_Ledger` of its own.  The builder recruits embeddings greedily
+in a deterministic order: grouped by the host edge e the distinguished edge
+lands on, both orientations of e, lexicographic inside each.  Because both
+degree maps only ever grow, a single pass is maximal: any embedding rejected
+once stays unrecruitable.
 
 The same monotonicity lets the candidate stream skip work.  Once e is at
 the per-edge cap, no embedding through e can be recruited, so the rest of
 e's group is never enumerated.  The builder and remaining_recruitable share
 that stream, and every embedding it yields still goes through the full cap
 test, so the members and the maximality report are exactly those of a
-stream over every embedding.
+stream over every embedding.  `verify_family` counts the degrees again in
+its own code, so a fault in the ledger shows up as a disagreement.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .embed import Embedding, _backtrack, count_copies
-from .errors import EmptyCandidateSet, InvalidRootedPattern, PreconditionViolated
+from .errors import EmptyCandidateSet, InvalidRootedPattern, ParseError, PreconditionViolated
 from .gluing import RootedPattern, _glue_oriented, _signed_glue
-from .graphs import LabeledGraph, SignedBipartiteGraph, encode_graph6
+from .graphs import LabeledGraph, SignedBipartiteGraph, decode_graph6, encode_graph6
 from .constructions import SeededSampler
 
 
@@ -72,30 +75,22 @@ def derived_caps(stats, p, n, gamma, family_size=None, host_edges=None, epsilon=
 
 @dataclass
 class BalancedFamily:
-    """The built family plus recomputable degree statistics.
+    """The built family: its members, as embeddings of pattern into host.
 
     For signed builds, host/pattern are the flattened unsigned graphs and
-    signed_host/signed_pattern keep the originals.
+    signed_host/signed_pattern keep the originals.  `to_json` and `from_json`
+    define the family file format.
     """
 
     host: LabeledGraph
     pattern: RootedPattern
     members: list[Embedding]
-    edge_degrees: dict[tuple[int, int], int]
-    pair_degrees: dict[tuple, int]
     signed_host: Optional[SignedBipartiteGraph] = None
     signed_pattern: Optional[SignedBipartiteGraph] = None
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def psi_of(self, emb: Embedding) -> tuple[int, ...]:
-        return tuple(emb.map[r] for r in self.pattern.root_vertices)
-
-    def extra_vertices(self, emb: Embedding) -> list[int]:
-        rooted = {emb.map[r] for r in self.pattern.root_vertices}
-        return [u for u in emb.map if u not in rooted]
 
     def to_json(self) -> str:
         payload = {
@@ -111,45 +106,91 @@ class BalancedFamily:
             payload["signed_pattern"] = json.loads(self.signed_pattern.to_json())
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
+    @staticmethod
+    def from_json(text: Union[str, bytes]) -> "BalancedFamily":
+        """The family `to_json` wrote (bytes must be UTF-8); members are read
+        as given, for `verify_family` to check."""
+        try:
+            payload = json.loads(text.decode() if isinstance(text, bytes) else text)
+        except ValueError as exc:
+            raise ParseError(f"family file is not JSON: {exc}") from exc
+        try:
+            host = decode_graph6(payload["host"])
+            pattern = decode_graph6(payload["pattern"])
+            p = RootedPattern(
+                pattern,
+                tuple(payload["roots"]),
+                frozenset(tuple(e) for e in payload["root_edges"]),
+                tuple(payload["distinguished_edge"]),
+            )
+            members = []
+            for m in payload["members"]:
+                if not (isinstance(m, list) and all(type(v) is int for v in m)):
+                    raise TypeError(f"member {m!r} is not a list of ints")
+                members.append(Embedding(pattern, host, tuple(m)))
+            signed = [None, None]
+            if "signed_host" in payload:
+                signed = [
+                    SignedBipartiteGraph.from_json(json.dumps(payload[k]))
+                    for k in ("signed_host", "signed_pattern")
+                ]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"family file lacks a field or has the wrong shape: {exc!r}") from exc
+        if signed[0] is not None and [g.as_unsigned() for g in signed] != [host, pattern]:
+            raise ParseError("signed_host or signed_pattern does not flatten to host or pattern")
+        return BalancedFamily(host, p, members, *signed)
 
-def _recruitable(fam: BalancedFamily, c: FamilyConstraints, emb: Embedding) -> bool:
-    f = fam.pattern.distinguished_edge
-    e = emb.image_edge(f)
-    if c.per_edge_cap is not None and fam.edge_degrees.get(e, 0) >= c.per_edge_cap:
-        return False
-    if c.per_pair_cap is not None:
-        psi = fam.psi_of(emb)
-        for u in fam.extra_vertices(emb):
-            if fam.pair_degrees.get((psi, u), 0) >= c.per_pair_cap:
-                return False
-    return True
+
+class _Ledger:
+    """The builder's degree counts under the caps c.
+
+    A member's keys are the host edge its distinguished edge lands on and
+    (psi, u) for each extra vertex u, psi being its image of the roots.
+    `keys` computes them once per candidate for `admits` and `add`.
+    """
+
+    def __init__(self, p: RootedPattern, c: FamilyConstraints):
+        self.f, self.roots, self.c = p.distinguished_edge, p.root_vertices, c
+        self.edges: Counter = Counter()
+        self.pairs: Counter = Counter()
+
+    def keys(self, emb: Embedding) -> tuple:
+        m = emb.map
+        psi = tuple([m[r] for r in self.roots])
+        return emb.image_edge(self.f), [(psi, u) for u in m if u not in psi]
+
+    def admits(self, keys) -> bool:
+        e, pairs = keys
+        edge_cap, pair_cap = self.c.per_edge_cap, self.c.per_pair_cap
+        if edge_cap is not None and self.edges.get(e, 0) >= edge_cap:
+            return False
+        if pair_cap is not None:
+            for k in pairs:
+                if self.pairs.get(k, 0) >= pair_cap:
+                    return False
+        return True
+
+    def add(self, keys) -> None:
+        e, pairs = keys
+        self.edges[e] += 1
+        self.pairs.update(pairs)
 
 
-def _recruit(fam: BalancedFamily, emb: Embedding) -> None:
-    f = fam.pattern.distinguished_edge
-    e = emb.image_edge(f)
-    fam.edge_degrees[e] = fam.edge_degrees.get(e, 0) + 1
-    psi = fam.psi_of(emb)
-    for u in fam.extra_vertices(emb):
-        fam.pair_degrees[(psi, u)] = fam.pair_degrees.get((psi, u), 0) + 1
-    fam.members.append(emb)
-
-
-def _candidate_stream(fam: BalancedFamily, c: FamilyConstraints, edge_order):
+def _candidate_stream(fam: BalancedFamily, ledger: _Ledger, edge_order):
     """Embeddings grouped by the host edge e the distinguished edge lands on,
     both orientations of e, lexicographic inside each orientation.
 
     A group is skipped, or left at once, when e is at the per-edge cap: the
     degree is read before each orientation and after every yield, so a
     consumer that recruits between yields is seen at once.  Skipping is
-    exact because degrees only grow and _recruitable rejects an embedding
-    whose image edge is at the cap before it looks at anything else.
+    exact because degrees only grow and the ledger admits no embedding whose
+    image edge is at the cap.
     """
     a, b = fam.pattern.distinguished_edge
     pc = hc = None
     if fam.signed_host is not None:
         pc, hc = fam.signed_pattern.colors, fam.signed_host.colors
-    cap, degrees = c.per_edge_cap, fam.edge_degrees
+    cap, degrees = ledger.c.per_edge_cap, ledger.edges
     for e in edge_order:
         x, y = e
         for fixed in ({a: x, b: y}, {a: y, b: x}):
@@ -164,11 +205,14 @@ def _candidate_stream(fam: BalancedFamily, c: FamilyConstraints, edge_order):
 
 
 def _build(fam: BalancedFamily, c: FamilyConstraints, edge_order) -> BalancedFamily:
-    for emb in _candidate_stream(fam, c, edge_order):
+    ledger = _Ledger(fam.pattern, c)
+    for emb in _candidate_stream(fam, ledger, edge_order):
         if c.target_size is not None and fam.size >= c.target_size:
             break
-        if _recruitable(fam, c, emb):
-            _recruit(fam, emb)
+        keys = ledger.keys(emb)
+        if ledger.admits(keys):
+            ledger.add(keys)
+            fam.members.append(emb)
     return fam
 
 
@@ -196,8 +240,7 @@ def build_balanced_family(
     """
     if p.distinguished_edge is None:
         raise InvalidRootedPattern("builder needs a distinguished edge")
-    fam = BalancedFamily(host=g, pattern=p, members=[], edge_degrees={}, pair_degrees={})
-    return _build(fam, c, _edge_order(g, sampler))
+    return _build(BalancedFamily(g, p, []), c, _edge_order(g, sampler))
 
 
 def build_signed_balanced_family(
@@ -213,16 +256,7 @@ def build_signed_balanced_family(
     flat_g = g.as_unsigned()
     flat_f = h.flat_edge(f)
     p = RootedPattern(flat_h, flat_f, frozenset([flat_f]), flat_f)
-    fam = BalancedFamily(
-        host=flat_g,
-        pattern=p,
-        members=[],
-        edge_degrees={},
-        pair_degrees={},
-        signed_host=g,
-        signed_pattern=h,
-    )
-    return _build(fam, c, _edge_order(flat_g, sampler))
+    return _build(BalancedFamily(flat_g, p, [], g, h), c, _edge_order(flat_g, sampler))
 
 
 @dataclass(frozen=True)
@@ -265,7 +299,7 @@ def verify_family(fam: BalancedFamily, c: FamilyConstraints) -> FamilyReport:
     """Recompute all degrees from the member list and list every cap violation,
     every member that is not an embedding and every repeated member.
     Degrees count the valid members, repeats included."""
-    f = fam.pattern.distinguished_edge
+    f, roots = fam.pattern.distinguished_edge, fam.pattern.root_vertices
     edge_deg: dict = {}
     pair_deg: dict = {}
     invalid = []
@@ -281,8 +315,8 @@ def verify_family(fam: BalancedFamily, c: FamilyConstraints) -> FamilyReport:
         seen.add(emb.map)
         e = emb.image_edge(f)
         edge_deg[e] = edge_deg.get(e, 0) + 1
-        psi = fam.psi_of(emb)
-        for u in fam.extra_vertices(emb):
+        psi = tuple(emb.map[r] for r in roots)
+        for u in set(emb.map) - set(psi):
             pair_deg[(psi, u)] = pair_deg.get((psi, u), 0) + 1
     edge_bad = tuple(
         sorted(
@@ -311,20 +345,19 @@ def remaining_recruitable(fam: BalancedFamily, c: FamilyConstraints) -> list[Emb
     """Maximality check: the embeddings outside the family that the caps
     would still admit, in stream order over the host's sorted edges.
 
-    Empty for a greedy build with no target size.  The degrees are
-    recomputed from fam.members, so a family rebuilt from its members alone
-    is judged like the built one; fam is not changed.  Host-edge groups
-    whose per-edge degree is at the cap are skipped unseen, which is exact:
-    every embedding in such a group fails the per-edge test of _recruitable.
+    Empty for a greedy build with no target size.  The degrees are counted
+    from fam.members into a fresh ledger; fam is not changed.  Host-edge
+    groups whose per-edge degree is at the cap are skipped unseen, which is
+    exact: the ledger admits no embedding in such a group.
     """
-    counted = replace(fam, members=[], edge_degrees={}, pair_degrees={})
+    ledger = _Ledger(fam.pattern, c)
     for emb in fam.members:
-        _recruit(counted, emb)
+        ledger.add(ledger.keys(emb))
     in_family = {m.map for m in fam.members}
     return [
         emb
-        for emb in _candidate_stream(counted, c, fam.host.sorted_edges)
-        if emb.map not in in_family and _recruitable(counted, c, emb)
+        for emb in _candidate_stream(fam, ledger, fam.host.sorted_edges)
+        if emb.map not in in_family and ledger.admits(ledger.keys(emb))
     ]
 
 
@@ -342,7 +375,7 @@ def extension_degrees(fam: BalancedFamily) -> dict[tuple, int]:
     """deg(psi) = number of family members restricting to psi on F."""
     out: dict[tuple, int] = {}
     for emb in fam.members:
-        psi = fam.psi_of(emb)
+        psi = tuple(emb.map[r] for r in fam.pattern.root_vertices)
         out[psi] = out.get(psi, 0) + 1
     return out
 
@@ -360,7 +393,10 @@ def assemble_glued_copies(
     g, families: list[BalancedFamily], shared_edge
 ) -> Optional[GluedCopy]:
     """Greedily pick one member per family through shared_edge, pairwise
-    vertex-disjoint away from it; None if the greedy choice gets blocked."""
+    vertex-disjoint away from it; None if the greedy choice gets blocked.
+
+    g is not read: the host is each family's own.  The parameter stays
+    because callers such as bench/workloads.py and demo 05 pass it."""
     shared = tuple(sorted(shared_edge))
     shared_set = set(shared)
     signed = families[0].signed_host is not None if families else False

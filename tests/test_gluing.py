@@ -21,7 +21,6 @@ from edgeglue.gluing import (
     RootedPattern,
     attach_tree,
     edge_rooted,
-    family_to_graph6,
     glue_along_edge,
     glue_at_vertex,
     glue_copies_along_forest,
@@ -29,10 +28,13 @@ from edgeglue.gluing import (
     signed_glue,
     tree_of_cycles,
 )
+from edgeglue.gluing import _glue_oriented, _signed_glue
 from edgeglue.graphs import (
     LabeledGraph,
+    SignedBipartiteGraph,
     complete_bipartite,
     cycle,
+    encode_graph6,
     path,
     signed_cycle,
     star,
@@ -95,8 +97,8 @@ class TestGlueAlongEdge:
             assert not is_free(g, cycle(6))
 
     def test_family_order_is_deterministic(self):
-        a = family_to_graph6(glue_along_edge(path(3), (0, 1), path(3), (0, 1)))
-        b = family_to_graph6(glue_along_edge(path(3), (0, 1), path(3), (0, 1)))
+        a = [encode_graph6(g) for g in glue_along_edge(path(3), (0, 1), path(3), (0, 1))]
+        b = [encode_graph6(g) for g in glue_along_edge(path(3), (0, 1), path(3), (0, 1))]
         assert a == b
         # output is sorted by certificate
         fam = glue_along_edge(path(3), (0, 1), path(3), (0, 1))
@@ -226,6 +228,54 @@ class TestSignedGlue:
         assert canonical_form(g.as_unsigned()) in {
             canonical_form(u) for u in unsigned
         }
+
+
+class TestLabelledLayout:
+    """Exact labelled outputs: shared vertices first, then each part's other
+    vertices, part by part, in index order.  A change of layout that keeps
+    sizes and isomorphism classes still fails here."""
+
+    def test_glue_at_vertex(self):
+        # h1 keeps its labels; h2's other vertices follow in index order
+        tailed_triangle = LabeledGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        g = glue_at_vertex(tailed_triangle, 3, path(3), 0)
+        assert g.vertex_count == 6
+        assert g.sorted_edges == ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5))
+
+    def test_forest_gluing(self):
+        g = glue_copies_along_forest(RootedPattern(path(4), (0, 1, 3), frozenset([(0, 1)])), 3)
+        assert g.vertex_count == 6
+        assert g.sorted_edges == ((0, 1), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
+        # root vertex i of H is vertex i of the result, in the given root order
+        g = glue_copies_along_forest(RootedPattern(path(4), (3, 0, 1), frozenset([(0, 1)])), 2)
+        assert g.vertex_count == 5
+        assert g.sorted_edges == ((0, 3), (0, 4), (1, 2), (2, 3), (2, 4))
+        p = RootedPattern(cycle(6), (4, 2, 3), frozenset([(2, 3), (3, 4)]))
+        g = glue_copies_along_forest(p, 2)
+        assert g.vertex_count == 9
+        assert g.sorted_edges == (
+            (0, 2), (0, 5), (0, 8), (1, 2), (1, 4), (1, 7), (3, 4), (3, 5), (6, 7), (6, 8)
+        )
+
+    @pytest.mark.parametrize(
+        "flip, edges, maps",
+        [
+            (False, ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3)), [[2, 0, 1, 3], [0, 1, 4]]),
+            (True, ((0, 1), (0, 2), (0, 4), (1, 3), (2, 3)), [[2, 0, 1, 3], [1, 0, 4]]),
+        ],
+    )
+    def test_glue_oriented(self, flip, edges, maps):
+        g, got = _glue_oriented([(cycle(4), (1, 2)), (path(3), (0, 1))], (False, flip))
+        assert g.vertex_count == 5 and g.sorted_edges == edges
+        assert got == maps
+
+    def test_signed_glue(self):
+        p4 = SignedBipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)])
+        g, maps = _signed_glue([(signed_cycle(4), (1, 0)), (p4, (1, 1))])
+        assert (g.plus_count, g.minus_count) == (3, 3)
+        assert g.sorted_edges == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 2))
+        # flattened: + vertices 0..2, then - vertices 3..5
+        assert maps == [[1, 0, 3, 4], [2, 0, 5, 3]]
 
 
 class TestTreeOfCycles:

@@ -1,6 +1,7 @@
 """Greedy balanced-family builders, verification, splitting, assembly, and
 the rough copy-count check."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from edgeglue.embed import Embedding, count_embeddings
 from edgeglue.errors import (
     EmptyCandidateSet,
     InvalidRootedPattern,
+    ParseError,
     PreconditionViolated,
 )
 from edgeglue.gluing import RootedPattern, edge_rooted
@@ -56,7 +58,8 @@ class TestBuilder:
         fam = build_balanced_family(complete_bipartite(3, 3), C4_ROOTED, caps)
         report = verify_family(fam, caps)
         assert report.violation_count == 0
-        assert max(fam.edge_degrees.values()) <= 2
+        f = C4_ROOTED.distinguished_edge
+        assert max(Counter(m.image_edge(f) for m in fam.members).values()) <= 2
         assert remaining_recruitable(fam, caps) == []
 
     def test_maximality_recomputes_degrees_from_members(self):
@@ -67,12 +70,9 @@ class TestBuilder:
             host=fam.host,
             pattern=fam.pattern,
             members=list(fam.members),
-            edge_degrees={},
-            pair_degrees={},
         )
         assert remaining_recruitable(fam, caps) == []
         assert remaining_recruitable(copy, caps) == []
-        assert copy.edge_degrees == {} and copy.pair_degrees == {}
         assert copy.members == fam.members
 
     def test_target_size_stops_early(self):
@@ -198,6 +198,49 @@ class TestVerify:
         )
         payload = json.loads(fam.to_json())
         assert payload["members"] == [list(m.map) for m in fam.members]
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_from_json_inverts_to_json(self, signed):
+        caps = FamilyConstraints(per_edge_cap=2, per_pair_cap=1)
+        if signed:
+            host = signed_complete_bipartite(3, 3)
+            fam = build_signed_balanced_family(host, signed_cycle(4), (0, 0), caps)
+        else:
+            fam = build_balanced_family(complete_bipartite(3, 3), C4_ROOTED, caps)
+        # a repeat and a non-embedding make the trip too, for verify_family to list
+        fam.members.append(fam.members[0])
+        fam.members.append(Embedding(fam.pattern.pattern, fam.host, (0, 1, 2, 3)))
+        back = BalancedFamily.from_json(fam.to_json())
+        assert back.members == fam.members
+        assert (back.host, back.pattern) == (fam.host, fam.pattern)
+        assert (back.signed_host, back.signed_pattern) == (fam.signed_host, fam.signed_pattern)
+        for c in (caps, UNCAPPED, FamilyConstraints(per_edge_cap=1, per_pair_cap=0)):
+            assert verify_family(back, c) == verify_family(fam, c)
+        report = verify_family(back, caps)
+        assert report.repeated_members == (back.size - 2,)
+        assert report.invalid_members == ((back.size - 1, "not edge-preserving"),)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            b"\xff\xfe",
+            "[1, 2]",
+            '{"pattern": "Cr"}',
+            '{"host": 5, "pattern": "Cr", "roots": [0, 1], "root_edges": [[0, 1]],'
+            ' "distinguished_edge": [0, 1], "members": []}',
+            '{"host": "EFz_", "pattern": "Cr", "roots": [0, 1], "root_edges": [[0, 1]],'
+            ' "distinguished_edge": null, "members": []}',
+            '{"host": "EFz_", "pattern": "Cr", "roots": [0, 1], "root_edges": [[0, 1]],'
+            ' "distinguished_edge": [0, 1], "members": [[0, 3, 1, true]]}',
+            '{"host": "EFz_", "pattern": "Cr", "roots": [0, 1], "root_edges": [[0, 1]],'
+            ' "distinguished_edge": [0, 1], "members": [],'
+            ' "signed_host": {"plus": 3, "minus": 3, "edges": [[0, 0]]}}',
+        ],
+    )
+    def test_from_json_rejects_a_malformed_family(self, text):
+        with pytest.raises(ParseError):
+            BalancedFamily.from_json(text)
 
 
 class TestHeavyLight:

@@ -1,5 +1,6 @@
-"""The balanced-family builder and the maximality check against a reference
-that shares no code with supersat or the embedding backtracker.
+"""The balanced-family builder, the maximality check and the cap check of
+verify_family against a reference that shares no code with supersat or the
+embedding backtracker.
 
 The reference lists every map by itertools.permutations with direct
 has_edge checks, orders the maps the way the builder's stream promises (the
@@ -21,6 +22,7 @@ from edgeglue.supersat import (
     build_balanced_family,
     build_signed_balanced_family,
     remaining_recruitable,
+    verify_family,
 )
 
 CAPS = (None, 0, 1, 2, 3)
@@ -119,6 +121,19 @@ def reference_remaining(ordered, f, roots, members, caps):
         if img not in in_family
         and admits(img, f, roots, edge_deg, pair_deg, caps.per_edge_cap, caps.per_pair_cap)
     ]
+
+
+def reference_violations(members, f, roots, caps):
+    """verify_family's edge and pair violation lists, from the reference's
+    own per-edge and per-pair counts over every member, repeats included."""
+    edge_deg, pair_deg = Counter(), Counter()
+    for img in members:
+        add(img, f, roots, edge_deg, pair_deg)
+
+    def over(deg, cap):
+        return tuple(sorted((k, d) for k, d in deg.items() if cap is not None and d > cap))
+
+    return over(edge_deg, caps.per_edge_cap), over(pair_deg, caps.per_pair_cap)
 
 
 def random_caps(rng):
@@ -244,3 +259,61 @@ class TestRemainingAgainstOracle:
             )
             through = Counter(image_edge(img, f) for img in reference_maps(pattern.pattern, host))
             assert count == sum(d - 1 for d in through.values())
+
+
+class TestVerifyAgainstReference:
+    """Families checked under caps other than the ones they were built
+    under, so many of them break a cap."""
+
+    def _check(self, fam, f, roots, caps):
+        report = verify_family(fam, caps)
+        expected = reference_violations([m.map for m in fam.members], f, roots, caps)
+        assert (report.edge_violations, report.pair_violations) == expected, (
+            fam.host, fam.pattern, caps, [m.map for m in fam.members]
+        )
+        return expected != ((), ())
+
+    def test_unsigned(self):
+        rng = random.Random(20255)
+        flagged = 0
+        for _ in range(200):
+            host, pattern = unsigned_case(rng)
+            fam = build_balanced_family(host, pattern, random_caps(rng))
+            flagged += self._check(
+                fam, pattern.distinguished_edge, pattern.root_vertices, random_caps(rng)
+            )
+        assert flagged >= 30
+
+    def test_signed(self):
+        rng = random.Random(20256)
+        flagged = 0
+        for _ in range(200):
+            host, h, f = signed_case(rng)
+            fam = build_signed_balanced_family(host, h, f, random_caps(rng))
+            flat_f = (f[0], h.plus_count + f[1])
+            flagged += self._check(fam, flat_f, flat_f, random_caps(rng))
+        assert flagged >= 30
+
+    def test_member_repeated_past_the_cap(self):
+        # a capped build, then one member repeated cap more times: its image
+        # edge now breaks the per-edge cap, and the repeats are listed
+        rng = random.Random(20257)
+        checked = 0
+        for _ in range(60):
+            host, pattern = unsigned_case(rng)
+            caps = FamilyConstraints(
+                per_edge_cap=rng.choice((1, 2, 3)), per_pair_cap=rng.choice((None, 1, 2, 3))
+            )
+            fam = build_balanced_family(host, pattern, caps)
+            if not fam.members:
+                continue
+            size = fam.size
+            repeat = rng.choice(fam.members)
+            fam.members.extend([repeat] * caps.per_edge_cap)
+            f = pattern.distinguished_edge
+            assert self._check(fam, f, pattern.root_vertices, caps)
+            report = verify_family(fam, caps)
+            assert image_edge(repeat.map, f) in dict(report.edge_violations)
+            assert report.repeated_members == tuple(range(size, fam.size))
+            checked += 1
+        assert checked >= 40
