@@ -6,16 +6,23 @@ deduplicated up to isomorphism), identifying several copies of a graph
 pointwise along a labeled subforest, vertex identification, pendant-tree
 attachment, sign-preserving edge gluing of signed bipartite graphs, and
 trees of even cycles.
+
+Flipping a part whose marked edge (a, b) is swapped by one of the part's
+automorphisms σ gives an isomorphic glued graph (apply σ to that part,
+fix every other vertex); flipping every part at once is the swap 0 <-> 1.
+So `glue_family` glues only the orientations in which those parts, and
+the first part without such an automorphism, stay unflipped: one per
+isomorphism class of orientations, and the lexicographically first.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
-from .canon import canonical_form
+from .canon import _swaps_ends, canonical_form
 from .errors import (
     EdgeGlueError,
     InvalidAttachIndex,
@@ -167,18 +174,29 @@ def _glue_oriented(parts, orientations) -> tuple[LabeledGraph, list[list[int]]]:
 def glue_family(spec: GluingSpec) -> list[LabeledGraph]:
     """All graphs obtainable by gluing the parts along one common edge.
 
-    2^(t-1) orientation choices, deduplicated by canonical form; the list is
-    sorted by certificate for determinism.  Signed parts raise SignMismatch:
-    they glue one way, by `signed_glue`.
+    Of the 2^(t-1) orientation choices, only those the module docstring
+    keeps are glued: 2^(k-1) of them when k parts have no automorphism
+    swapping their marked edge's ends (one when k <= 1).  Each skipped
+    orientation is isomorphic to a kept one that comes before it in
+    product order, so keeping the first graph of each canonical form gives
+    the same labeled graphs as gluing them all.  The list is sorted by
+    certificate for determinism.  Signed parts raise SignMismatch: they
+    glue one way, by `signed_glue`.
     """
     parts = spec.parts
     if not parts:
         raise EdgeGlueError("nothing to glue")
     if isinstance(parts[0][0], SignedBipartiteGraph):
         raise SignMismatch("glue_family needs unsigned parts; signed parts glue by signed_glue")
-    seen = {}
-    for flips in product((False, True), repeat=len(parts) - 1):
-        g = _glue_oriented(parts, (False,) + flips)[0]
+    t = len(parts)
+    # the all-unflipped graph first: past canon's vertex cap it raises
+    # SizeExceeded before any automorphism test runs
+    g = _glue_oriented(parts, (False,) * t)[0]
+    seen = {canonical_form(g): g}
+    free = [i for i, (h, (a, b)) in enumerate(parts) if not _swaps_ends(h, a, b)][1:]
+    for flips in islice(product((False, True), repeat=len(free)), 1, None):
+        flipped = dict(zip(free, flips))
+        g = _glue_oriented(parts, [flipped.get(i, False) for i in range(t)])[0]
         seen.setdefault(canonical_form(g), g)
     return [seen[c] for c in sorted(seen)]
 

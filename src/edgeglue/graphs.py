@@ -8,6 +8,7 @@ intersection in the embedding backtracker a single ``&``.
 
 from __future__ import annotations
 
+import binascii
 import json
 import re
 from dataclasses import dataclass
@@ -16,11 +17,28 @@ from functools import cached_property
 from .errors import EdgeNotInGraph, ParseError, VertexNotInGraph
 
 GRAPH6_MAX_SHORT = 62
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def _normalize_edge(e) -> tuple[int, int]:
     a, b = e
     return (a, b) if a < b else (b, a)
+
+
+def _checked_edges(vertex_count: int, edges) -> set[tuple[int, int]]:
+    """Normalise the edges one at a time, raising on the first bad one in
+    input order: its loop, else its range."""
+    norm = set()
+    for e in edges:
+        a, b = _normalize_edge(e)
+        if a == b:
+            raise ValueError(f"loop at vertex {a}")
+        if not (0 <= a and b < vertex_count):
+            raise ValueError(f"edge {(a, b)} out of range for n={vertex_count}")
+        norm.add((a, b))
+    return norm
 
 
 @dataclass(frozen=True)
@@ -33,14 +51,15 @@ class LabeledGraph:
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        norm = set()
-        for e in edges:
-            a, b = _normalize_edge(e)
-            if a == b:
-                raise ValueError(f"loop at vertex {a}")
-            if not (0 <= a and b < vertex_count):
-                raise ValueError(f"edge {(a, b)} out of range for n={vertex_count}")
-            norm.add((a, b))
+        edges = list(edges)
+        n = vertex_count
+        try:
+            norm = [(a, b) if a < b else (b, a) for a, b in edges if a != b and 0 <= a < n and 0 <= b < n]
+        except (TypeError, ValueError):
+            norm = []
+        if len(norm) < len(edges):
+            # some edge is bad: go through them one at a time to raise on the first
+            norm = _checked_edges(vertex_count, edges)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", frozenset(norm))
 
@@ -330,14 +349,21 @@ def encode_graph6(g: LabeledGraph) -> str:
 
 def graph6_from_bits(n: int, bits: int) -> str:
     """Short-form graph6 of the n-vertex graph whose adjacency bits, pair
-    (i, j) for i < j ordered by j then i, are `bits`, first pair most
-    significant."""
+    (i, j) for i < j ordered by j then i, are `bits` (below 2**(n(n-1)/2)),
+    first pair most significant.
+
+    Both graph6 and base64 write 6 bits a character, most significant
+    first, so the body is the base64 of the bits padded to whole 3-byte
+    groups, cut to its first ceil(n(n-1)/12) characters, with base64's
+    alphabet mapped onto chr(63)..chr(126).
+    """
     if n > GRAPH6_MAX_SHORT:
         raise ParseError(f"short-form graph6 supports n <= {GRAPH6_MAX_SHORT}, got {n}")
-    pad = -(n * (n - 1) // 2) % 6
-    body = bits << pad
-    chunks = (n * (n - 1) // 2 + pad) // 6
-    return chr(63 + n) + "".join(chr(63 + (body >> 6 * k & 63)) for k in reversed(range(chunks)))
+    pairs = n * (n - 1) // 2
+    chunks = -(-pairs // 6)
+    groups = -(-chunks // 4)
+    body = binascii.b2a_base64((bits << (24 * groups - pairs)).to_bytes(3 * groups, "big"), newline=False)
+    return chr(63 + n) + body[:chunks].translate(_BASE64_TO_GRAPH6).decode()
 
 
 def decode_graph6(text: str) -> LabeledGraph:

@@ -1,10 +1,13 @@
 """Graph types, named builders, graph6, and text parsing."""
 
+import random
+
 import numpy as np
 import pytest
 
 from edgeglue.errors import EdgeNotInGraph, ParseError, VertexNotInGraph
 from edgeglue.graphs import (
+    GRAPH6_MAX_SHORT,
     LabeledGraph,
     SignedBipartiteGraph,
     complete,
@@ -15,6 +18,7 @@ from edgeglue.graphs import (
     empty_graph,
     encode_graph6,
     encode_sb,
+    graph6_from_bits,
     parse_graph,
     parse_signed_graph,
     path,
@@ -43,6 +47,36 @@ class TestLabeledGraph:
             LabeledGraph(3, [(1, 1)])
         with pytest.raises(ValueError):
             LabeledGraph(3, [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(1, 1)], "loop at vertex 1"),
+            (3, [(0, 1), (3, 0)], "edge (0, 3) out of range for n=3"),
+            (3, [(2, -1)], "edge (-1, 2) out of range for n=3"),
+            # a loop outside the range is reported as a loop
+            (3, [(5, 5)], "loop at vertex 5"),
+            # two bad edges: the first in input order is named
+            (3, [(0, 1), (2, 2), (0, 4)], "loop at vertex 2"),
+            (3, [(0, 1), (4, 0), (2, 2)], "edge (0, 4) out of range for n=3"),
+            (4, iter([(3, 0), (6, 1), (1, 1)]), "edge (1, 6) out of range for n=4"),
+            # a loop before a malformed edge is still what is reported
+            (3, [(1, 1), (0, 1, 2)], "loop at vertex 1"),
+        ],
+    )
+    def test_first_bad_edge_in_input_order_is_reported(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            LabeledGraph(n, edges)
+        assert str(info.value) == message
+
+    def test_malformed_edges_raise_as_when_unpacked(self):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            LabeledGraph(3, [(0, 1), (0, 1, 2)])
+        with pytest.raises(TypeError, match="'<' not supported"):
+            LabeledGraph(3, [(0, "a")])
+
+    def test_edges_from_a_generator(self):
+        assert LabeledGraph(3, ((b, a) for a, b in [(0, 1), (1, 2)])).sorted_edges == ((0, 1), (1, 2))
 
     def test_degrees_and_adjacency(self):
         g = star(3)
@@ -143,6 +177,30 @@ class TestGraph6:
         for _ in range(1000):
             g = random_graph(rng)
             assert decode_graph6(encode_graph6(g)) == g
+
+
+def graph6_from_bits_by_characters(n: int, bits: int) -> str:
+    """graph6_from_bits as one chr per 6-bit chunk."""
+    if n > GRAPH6_MAX_SHORT:
+        raise ParseError(f"short-form graph6 supports n <= {GRAPH6_MAX_SHORT}, got {n}")
+    pad = -(n * (n - 1) // 2) % 6
+    body = bits << pad
+    chunks = (n * (n - 1) // 2 + pad) // 6
+    return chr(63 + n) + "".join(chr(63 + (body >> 6 * k & 63)) for k in reversed(range(chunks)))
+
+
+class TestGraph6FromBits:
+    @pytest.mark.parametrize("n", range(GRAPH6_MAX_SHORT + 1))
+    def test_matches_one_character_at_a_time(self, n):
+        rng = random.Random(n)
+        pairs = n * (n - 1) // 2
+        for bits in [0, (1 << pairs) - 1] + [rng.getrandbits(pairs) if pairs else 0 for _ in range(20)]:
+            assert graph6_from_bits(n, bits) == graph6_from_bits_by_characters(n, bits)
+
+    def test_rejects_long_form(self):
+        for f in (graph6_from_bits, graph6_from_bits_by_characters):
+            with pytest.raises(ParseError, match="short-form graph6 supports n <= 62, got 63"):
+                f(63, 0)
 
 
 class TestParsing:
