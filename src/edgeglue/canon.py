@@ -30,7 +30,6 @@ bipartite adjacency bits, read from the same int.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 from .errors import SizeExceeded
@@ -40,7 +39,6 @@ from .graphs import (
     component_roots,
     decode_graph6,
     decode_sb,
-    encode_graph6,
     graph6_from_bits,
 )
 
@@ -266,30 +264,3 @@ def signed_automorphism_count(h: SignedBipartiteGraph) -> int:
     _check_size(h)
     return _search(h.as_unsigned(), h.colors)[1]
 
-
-def automorphism_count_bruteforce(h: LabeledGraph) -> int:
-    """Exhaustive-permutation oracle, v <= 8."""
-    n = h.vertex_count
-    if n > 8:
-        raise SizeExceeded("brute-force automorphism oracle limited to 8 vertices")
-    edges = h.edges
-    count = 0
-    for perm in permutations(range(n)):
-        if all((min(perm[a], perm[b]), max(perm[a], perm[b])) in edges for a, b in edges):
-            count += 1
-    return count
-
-
-def canonical_form_bruteforce(g: LabeledGraph) -> CanonicalLabel:
-    """Exhaustive-permutation canonicalization oracle, v <= 8."""
-    n = g.vertex_count
-    if n > 8:
-        raise SizeExceeded("brute-force canonical oracle limited to 8 vertices")
-    if n == 0:
-        return CanonicalLabel(b"g6:?")
-    best = None
-    for perm in permutations(range(n)):
-        enc = encode_graph6(g.relabel(perm))
-        if best is None or enc < best:
-            best = enc
-    return CanonicalLabel(b"g6:" + best.encode())

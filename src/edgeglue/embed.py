@@ -7,9 +7,13 @@ the host.  Enumeration is one loop over a stack of candidate bitmasks, one
 level per pattern vertex: each level's mask starts from one computed before
 the loop (degree, colour and fixed neighbours) and is cut by the images of
 the earlier levels.  Pattern vertices are assigned in index order with
-ascending candidates, so the stream is lexicographic on the map tuple.
-Every stream is a lazy generator: a caller that needs only the first maps
-takes them with next() or itertools.islice.
+ascending candidates, so the stream is lexicographic on the map tuple.  The
+kernel stops one level short: `_frames` hands out the last level's candidate
+mask, `_backtrack` expands it into bare map tuples, and the public streams
+wrap those in `Embedding`s.  The counts never build a map: they add up the
+popcounts of the last-level masks.  A caller may also pass `avoid`, host
+vertices no level may use.  Every stream is a lazy generator: a caller that
+needs only the first maps takes them with next() or itertools.islice.
 
 A copy of H is the image of an embedding, and every copy is the image of
 exactly |Aut(H)| embeddings: f and f∘σ for the automorphisms σ.
@@ -62,43 +66,44 @@ def _check_caps(pattern_n: int, host_n: int):
         raise SizeExceeded(f"host limited to {MAX_HOST_VERTICES} vertices")
 
 
-def _backtrack(
-    pattern: LabeledGraph,
-    host: LabeledGraph,
-    fixed: dict[int, int],
-    pattern_colors: Optional[Sequence[int]],
-    host_colors: Optional[Sequence[int]],
-    conditions: Sequence[tuple[int, int]] = (),
-    induced: bool = False,
-) -> Iterator[Embedding]:
-    """Embeddings extending fixed, which is trusted to embed its own pairs.
+def _frames(
+    pattern: LabeledGraph, host: LabeledGraph, fixed: dict[int, int],
+    pattern_colors: Optional[Sequence[int]], host_colors: Optional[Sequence[int]],
+    conditions: Sequence[tuple[int, int]] = (), induced: bool = False, avoid: int = 0,
+) -> Iterator[tuple[list[int], Optional[int], int]]:
+    """Maps extending fixed, which is trusted to embed its own pairs, down
+    to their last level: yields (image, v, mask), image placing every level
+    but the last (shared between frames, image[v] free for the caller), v
+    the last level's pattern vertex and mask its candidates, in lexicographic
+    order.  With nothing to place (depth 0), the one frame is (image, None, 1).
 
     Each condition (v, w) asks map[v] < map[w]; v must be fixed or come
     before w in index order, so it is placed when w's candidates are drawn.
-    With induced, pattern non-edges must land on host non-edges too.
+    With induced, pattern non-edges must land on host non-edges too.  No
+    level takes a host vertex in the bitmask avoid.
 
     The vertices not in fixed are placed in index order, one level each.
     Before the loop, each level gets a static mask: the host vertices of at
     least its pattern vertex's degree and of its colour, adjacent to the
     images of its fixed neighbours (under induced, not adjacent to those of
     its fixed non-neighbours) and above the images of its fixed lower
-    bounds.  A level's candidates are its static mask less the used
-    vertices, cut down by the images of the earlier levels it depends on;
-    the stack holds each level's candidates not yet tried.
+    bounds.  A level's candidates are its static mask less the used and
+    avoided vertices, cut down by the images of the earlier levels it
+    depends on; the stack holds each level's candidates not yet tried.
     """
     pn, hn = pattern.vertex_count, host.vertex_count
     if pn > hn:
         return
     padj, hadj = pattern.adjacency, host.adjacency
     image = [-1] * pn
-    used = 0
+    used = avoid  # level vertices never come from avoid, so backtracking keeps it
     for v, u in fixed.items():
         image[v] = u
         used |= 1 << u
     order = [v for v in range(pn) if v not in fixed]
     depth = len(order)
     if not depth:
-        yield Embedding(pattern, host, tuple(image))
+        yield image, None, 1
         return
     hdeg = host.degrees
     at_least = {}  # pattern degree -> host vertices of at least that degree
@@ -129,8 +134,11 @@ def _backtrack(
         adjacent.append([w for w in earlier if padj[v] >> w & 1])
         apart.append([w for w in earlier if not padj[v] >> w & 1] if induced else [])
         above.append([w for w in lower[v] if w not in fixed])
-    last = depth - 1
-    stack = [0] * depth
+    last, v_last = depth - 1, order[-1]
+    if not last:
+        yield image, v_last, static[0] & ~used
+        return
+    stack = [0] * last  # levels 0..last-1; the last level goes out whole
     stack[0] = static[0] & ~used  # level 0 has no earlier level
     i = 0
     while True:
@@ -144,19 +152,36 @@ def _backtrack(
         low = mask & -mask
         stack[i] = mask ^ low
         image[order[i]] = low.bit_length() - 1
-        if i == last:
-            yield Embedding(pattern, host, tuple(image))
-            continue
         used |= low
-        i += 1
-        mask = static[i] & ~used
-        for w in adjacent[i]:
+        j = i + 1
+        mask = static[j] & ~used
+        for w in adjacent[j]:
             mask &= hadj[image[w]]
-        for w in apart[i]:
+        for w in apart[j]:
             mask &= ~hadj[image[w]]
-        for w in above[i]:
+        for w in above[j]:
             mask &= -2 << image[w]
-        stack[i] = mask
+        if j < last:
+            stack[j] = mask
+            i = j
+            continue
+        used ^= low
+        if mask:
+            yield image, v_last, mask
+
+
+def _backtrack(*args, **kwargs) -> Iterator[tuple[int, ...]]:
+    """The maps of _frames(*args, **kwargs) as tuples, in lexicographic
+    order: each frame's last-level mask is expanded in ascending order."""
+    for image, v, mask in _frames(*args, **kwargs):
+        if v is None:
+            yield tuple(image)
+            continue
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            image[v] = low.bit_length() - 1
+            yield tuple(image)
 
 
 def _flatten(h, g):
@@ -180,11 +205,15 @@ def enumerate_embeddings(h, g) -> Iterator[Embedding]:
     (then the map preserves sides, expressed on the flattened vertex sets).
     """
     h, g, pc, hc = _flatten(h, g)
-    yield from _backtrack(h, g, {}, pc, hc)
+    for m in _backtrack(h, g, {}, pc, hc):
+        yield Embedding(h, g, m)
 
 
 def count_embeddings(h, g) -> int:
-    return sum(1 for _ in enumerate_embeddings(h, g))
+    """The number of maps enumerate_embeddings yields, by popcounts of the
+    last level's candidate masks."""
+    h, g, pc, hc = _flatten(h, g)
+    return sum(mask.bit_count() for _, _, mask in _frames(h, g, {}, pc, hc))
 
 
 def _extends_to_automorphism(
@@ -230,19 +259,13 @@ def _symmetry_conditions(
     return conditions, order
 
 
-def _copy_stream(h, g) -> tuple[int, Iterator[Embedding]]:
-    """The orbit-size product of h's stabiliser chain, and the stream of the
-    maps that meet its conditions."""
-    h, g, pc, hc = _flatten(h, g)
-    conditions, order = _symmetry_conditions(h, pc)
-    return order, _backtrack(h, g, {}, pc, hc, conditions)
-
-
 def enumerate_copies(h, g) -> Iterator[Embedding]:
     """One embedding per copy of h in g, the lexicographically least map of
     its Aut(h)-orbit; the stream is in lexicographic order.  Arguments as for
     enumerate_embeddings."""
-    yield from _copy_stream(h, g)[1]
+    h, g, pc, hc = _flatten(h, g)
+    for m in _backtrack(h, g, {}, pc, hc, _symmetry_conditions(h, pc)[0]):
+        yield Embedding(h, g, m)
 
 
 def count_copies(h, g) -> int:
@@ -255,10 +278,11 @@ def count_copies(h, g) -> int:
         aut = signed_automorphism_count(h)
     else:
         aut = automorphism_count(h)
-    order, copies = _copy_stream(h, g)
+    h, g, pc, hc = _flatten(h, g)
+    conditions, order = _symmetry_conditions(h, pc)
     if order != aut:
         raise InvariantViolation(f"stabiliser chain gives |Aut| = {order}, canonical search {aut}")
-    return sum(1 for _ in copies)
+    return sum(mask.bit_count() for _, _, mask in _frames(h, g, {}, pc, hc, conditions))
 
 
 def is_free(g, h) -> bool:
@@ -296,18 +320,5 @@ def enumerate_extensions(psi, rooted_pattern, host: LabeledGraph) -> Iterator[Em
         if a in rootset and b in rootset and not host.has_edge(psi[a], psi[b]):
             return
     _check_caps(p.pattern.vertex_count, host.vertex_count)
-    yield from _backtrack(p.pattern, host, dict(psi), None, None)
-
-
-def count_embeddings_naive(h: LabeledGraph, g: LabeledGraph) -> int:
-    """Independent oracle: scan all injective maps."""
-    from itertools import permutations
-
-    pn, hn = h.vertex_count, g.vertex_count
-    if pn > hn:
-        return 0
-    count = 0
-    for img in permutations(range(hn), pn):
-        if all(g.has_edge(img[a], img[b]) for a, b in h.edges):
-            count += 1
-    return count
+    for m in _backtrack(p.pattern, host, dict(psi), None, None):
+        yield Embedding(p.pattern, host, m)

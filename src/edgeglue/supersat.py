@@ -13,19 +13,25 @@ once stays unrecruitable.
 
 The same monotonicity lets the candidate stream skip work.  Once e is at
 the per-edge cap, no embedding through e can be recruited, so the rest of
-e's group is never enumerated.  The builder and remaining_recruitable share
-that stream, and every embedding it yields still goes through the full cap
-test, so the members and the maximality report are exactly those of a
-stream over every embedding.  `verify_family` counts the degrees again in
-its own code, so a fault in the ledger shows up as a disagreement.
+e's group is never enumerated.  When the roots lie on the distinguished
+edge, as in every edge-rooted and every signed build, an orientation of e
+fixes psi, and a vertex u is saturated once (psi, u) is at the per-pair cap;
+the embedding kernel then never places a saturated u, and a recruit that
+saturates more restarts the orientation past its last map.  Inside such a
+stream a map is inadmissible exactly when its edge is at the cap or it uses
+a saturated u, so the stream yields exactly the maps a stream over every
+embedding would admit, in the same order.  The builder and
+remaining_recruitable share it, and every map still goes through the full
+cap test.  `verify_family` counts the degrees again in its own code, so a
+fault in the ledger shows up as a disagreement.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import dropwhile
 from typing import Optional, Union
 
 from .embed import Embedding, _backtrack, count_copies
@@ -37,11 +43,7 @@ from .constructions import SeededSampler
 
 @dataclass(frozen=True)
 class FamilyConstraints:
-    """Caps for the greedy builder.  None means unconstrained.
-
-    `from_cleaning_params` derives both caps from the paper's cleaning
-    parameters A, epsilon and gamma.
-    """
+    """Caps for the greedy builder.  None means unconstrained."""
 
     per_edge_cap: Optional[int] = None
     per_pair_cap: Optional[int] = None
@@ -51,26 +53,6 @@ class FamilyConstraints:
         for cap in (self.per_edge_cap, self.per_pair_cap, self.target_size):
             if cap is not None and cap < 0:
                 raise ValueError("caps must be nonnegative")
-
-    @staticmethod
-    def from_cleaning_params(a, epsilon, gamma) -> "FamilyConstraints":
-        """Signed-setting caps: per-pair floor(gamma*A), per-edge floor((1+eps)*A)."""
-        a, epsilon, gamma = Fraction(a), Fraction(epsilon), Fraction(gamma)
-        return FamilyConstraints(
-            per_edge_cap=int((1 + epsilon) * a),
-            per_pair_cap=int(gamma * a),
-        )
-
-
-def derived_caps(stats, p, n, gamma, family_size=None, host_edges=None, epsilon=1):
-    """The asymptotic cap formulas evaluated at finite n, for reporting only:
-    per-pair gamma * p^(e(H)-e(F)) * n^(h-l); per-edge (1+eps)*|H|/e(G)."""
-    p = float(p)
-    per_pair = float(gamma) * p ** (stats.eH - stats.eF) * n ** (stats.h - stats.ell)
-    per_edge = None
-    if family_size is not None and host_edges:
-        per_edge = (1 + float(epsilon)) * family_size / host_edges
-    return per_pair, per_edge
 
 
 @dataclass
@@ -146,18 +128,26 @@ class _Ledger:
 
     A member's keys are the host edge its distinguished edge lands on and
     (psi, u) for each extra vertex u, psi being its image of the roots.
-    `keys` computes them once per candidate for `admits` and `add`.
+    `keys` computes them once per candidate map for `admits` and `add`.
+    `saturated` maps psi to the bitmask of the host vertices u whose pair
+    (psi, u) is at the per-pair cap; `avoid` reads it, and gives every
+    vertex (-1) under a cap of 0, which every pair meets.
     """
 
-    def __init__(self, p: RootedPattern, c: FamilyConstraints):
+    def __init__(self, fam: BalancedFamily, c: FamilyConstraints):
+        p, self.n = fam.pattern, fam.host.vertex_count
         self.f, self.roots, self.c = p.distinguished_edge, p.root_vertices, c
-        self.edges: Counter = Counter()
-        self.pairs: Counter = Counter()
+        self.edges: dict = {}
+        self.pairs: dict = {}
+        self.saturated: dict = {}
 
-    def keys(self, emb: Embedding) -> tuple:
-        m = emb.map
+    def keys(self, m: tuple) -> tuple:
         psi = tuple([m[r] for r in self.roots])
-        return emb.image_edge(self.f), [(psi, u) for u in m if u not in psi]
+        a, b = m[self.f[0]], m[self.f[1]]
+        return (a, b) if a < b else (b, a), [(psi, u) for u in m if u not in psi]
+
+    def avoid(self, psi: tuple) -> int:
+        return -1 if self.c.per_pair_cap == 0 else self.saturated.get(psi, 0)
 
     def admits(self, keys) -> bool:
         e, pairs = keys
@@ -172,21 +162,32 @@ class _Ledger:
 
     def add(self, keys) -> None:
         e, pairs = keys
-        self.edges[e] += 1
-        self.pairs.update(pairs)
+        self.edges[e] = self.edges.get(e, 0) + 1
+        degrees, cap, saturated = self.pairs, self.c.per_pair_cap, self.saturated
+        for k in pairs:
+            d = degrees[k] = degrees.get(k, 0) + 1
+            psi, u = k
+            # a member read by from_json may name a vertex outside the host
+            if cap is not None and d >= cap and 0 <= u < self.n:
+                saturated[psi] = saturated.get(psi, 0) | 1 << u
 
 
 def _candidate_stream(fam: BalancedFamily, ledger: _Ledger, edge_order):
-    """Embeddings grouped by the host edge e the distinguished edge lands on,
-    both orientations of e, lexicographic inside each orientation.
+    """Maps grouped by the host edge e the distinguished edge lands on, both
+    orientations of e, lexicographic inside each orientation.
 
     A group is skipped, or left at once, when e is at the per-edge cap: the
     degree is read before each orientation and after every yield, so a
-    consumer that recruits between yields is seen at once.  Skipping is
-    exact because degrees only grow and the ledger admits no embedding whose
-    image edge is at the cap.
+    consumer that recruits between yields is seen at once.  When the roots
+    lie on the distinguished edge, an orientation pins psi, and its maps
+    avoid the vertices u saturated for psi; when a recruit saturates more,
+    the orientation restarts with the larger mask past the last map it
+    yielded.  Both cuts are exact because degrees only grow and the ledger
+    admits no map through an edge at the cap or a saturated pair.
     """
-    a, b = fam.pattern.distinguished_edge
+    p = fam.pattern
+    a, b = p.distinguished_edge
+    pinned = set(p.root_vertices) <= {a, b}
     pc = hc = None
     if fam.signed_host is not None:
         pc, hc = fam.signed_pattern.colors, fam.signed_host.colors
@@ -198,21 +199,29 @@ def _candidate_stream(fam: BalancedFamily, ledger: _Ledger, edge_order):
                 break
             if pc is not None and (pc[a] != hc[fixed[a]] or pc[b] != hc[fixed[b]]):
                 continue
-            for emb in _backtrack(fam.pattern.pattern, fam.host, fixed, pc, hc):
-                yield emb
+            psi = tuple([fixed[r] for r in p.root_vertices]) if pinned else None
+            avoid = ledger.avoid(psi) if pinned else 0
+            maps = _backtrack(p.pattern, fam.host, fixed, pc, hc, avoid=avoid)
+            while (m := next(maps, None)) is not None:
+                yield m
                 if cap is not None and degrees.get(e, 0) >= cap:
                     break
+                if pinned and ledger.avoid(psi) != avoid:
+                    avoid = ledger.avoid(psi)
+                    maps = _backtrack(p.pattern, fam.host, fixed, pc, hc, avoid=avoid)
+                    maps = dropwhile(m.__ge__, maps)
 
 
 def _build(fam: BalancedFamily, c: FamilyConstraints, edge_order) -> BalancedFamily:
-    ledger = _Ledger(fam.pattern, c)
-    for emb in _candidate_stream(fam, ledger, edge_order):
+    ledger = _Ledger(fam, c)
+    h, g = fam.pattern.pattern, fam.host
+    for m in _candidate_stream(fam, ledger, edge_order):
         if c.target_size is not None and fam.size >= c.target_size:
             break
-        keys = ledger.keys(emb)
+        keys = ledger.keys(m)
         if ledger.admits(keys):
             ledger.add(keys)
-            fam.members.append(emb)
+            fam.members.append(Embedding(h, g, m))
     return fam
 
 
@@ -346,18 +355,19 @@ def remaining_recruitable(fam: BalancedFamily, c: FamilyConstraints) -> list[Emb
     would still admit, in stream order over the host's sorted edges.
 
     Empty for a greedy build with no target size.  The degrees are counted
-    from fam.members into a fresh ledger; fam is not changed.  Host-edge
-    groups whose per-edge degree is at the cap are skipped unseen, which is
-    exact: the ledger admits no embedding in such a group.
+    from fam.members into a fresh ledger; fam is not changed.  The stream
+    skips host-edge groups at the per-edge cap and maps through saturated
+    vertices unseen, which is exact: the ledger admits none of them.
     """
-    ledger = _Ledger(fam.pattern, c)
+    ledger = _Ledger(fam, c)
     for emb in fam.members:
-        ledger.add(ledger.keys(emb))
+        ledger.add(ledger.keys(emb.map))
     in_family = {m.map for m in fam.members}
+    h, g = fam.pattern.pattern, fam.host
     return [
-        emb
-        for emb in _candidate_stream(fam, ledger, fam.host.sorted_edges)
-        if emb.map not in in_family and ledger.admits(ledger.keys(emb))
+        Embedding(h, g, m)
+        for m in _candidate_stream(fam, ledger, fam.host.sorted_edges)
+        if m not in in_family and ledger.admits(ledger.keys(m))
     ]
 
 

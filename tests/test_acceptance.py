@@ -24,11 +24,7 @@ from edgeglue.constructions import (
     random_sign_split,
     sample_gnp,
 )
-from edgeglue.embed import (
-    count_embeddings,
-    count_embeddings_naive,
-    is_free,
-)
+from edgeglue.embed import count_embeddings, is_free
 from edgeglue.extremal import exact_turan, exact_zarankiewicz
 from edgeglue.gluing import edge_rooted, glue_along_edge, signed_glue, GluingSpec
 from edgeglue.graphs import (
@@ -49,6 +45,8 @@ from edgeglue.supersat import (
     rough_count_check,
     verify_family,
 )
+
+from oracles import count_embeddings_naive
 
 PATTERNS = {
     "c4": cycle(4),

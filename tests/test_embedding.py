@@ -13,7 +13,6 @@ from edgeglue.canon import automorphism_count, signed_automorphism_count
 from edgeglue.embed import (
     count_copies,
     count_embeddings,
-    count_embeddings_naive,
     enumerate_copies,
     enumerate_embeddings,
     enumerate_extensions,
@@ -32,6 +31,8 @@ from edgeglue.graphs import (
     signed_cycle,
     star,
 )
+
+from oracles import count_embeddings_naive
 
 
 def random_graph(rng, n):
@@ -262,7 +263,7 @@ def permitted_maps(h, g, fixed=None, colors=None, host_colors=None, conditions=(
 
 
 def stream(h, g, fixed=None, colors=None, host_colors=None, conditions=(), induced=False):
-    return [e.map for e in embed._backtrack(h, g, fixed or {}, colors, host_colors, conditions, induced)]
+    return list(embed._backtrack(h, g, fixed or {}, colors, host_colors, conditions, induced))
 
 
 def random_partial_map(rng, h, g, size, induced=False):
@@ -389,6 +390,74 @@ class TestBacktrackStream:
         assert stream(path(3), complete(2)) == []
         assert stream(LabeledGraph(3), LabeledGraph(2), {0: 0, 1: 1}) == []
 
+
+
+def frame_count(h, g, fixed=None, colors=None, host_colors=None, conditions=(), induced=False, avoid=0):
+    """The maps under _frames, counted the way count_embeddings counts them."""
+    frames = embed._frames(h, g, fixed or {}, colors, host_colors, conditions, induced, avoid)
+    return sum(mask.bit_count() for _, _, mask in frames)
+
+
+class TestCountingKernel:
+    """The popcounts of the last-level masks equal the length of the per-map
+    stream, the permutation scan and the public streams."""
+
+    def test_unsigned_pairs(self):
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            h = random_graph(rng, int(rng.integers(1, 6)))
+            g = random_graph(rng, int(rng.integers(0, 8)))
+            n = count_embeddings(h, g)
+            assert n == len(stream(h, g)) == count_embeddings_naive(h, g) == frame_count(h, g)
+            assert count_copies(h, g) == sum(1 for _ in enumerate_copies(h, g))
+            assert frame_count(h, g, induced=True) == len(stream(h, g, induced=True))
+
+    def test_signed_pairs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            m, n = rng.integers(0, 4, size=2).tolist()
+            h = SignedBipartiteGraph(m, n, [(p, q) for p in range(m) for q in range(n) if rng.random() < 0.6])
+            m, n = rng.integers(0, 5, size=2).tolist()
+            g = SignedBipartiteGraph(m, n, [(p, q) for p in range(m) for q in range(n) if rng.random() < 0.6])
+            hf, gf = h.as_unsigned(), g.as_unsigned()
+            expected = permitted_maps(hf, gf, colors=h.colors, host_colors=g.colors)
+            assert count_embeddings(h, g) == len(expected) == sum(1 for _ in enumerate_embeddings(h, g))
+            if h.edge_count:
+                assert count_copies(h, g) == sum(1 for _ in enumerate_copies(h, g))
+
+    def test_one_level_patterns(self):
+        host = random_graph(np.random.default_rng(43), 7)
+        assert count_embeddings(LabeledGraph(1), host) == 7 == frame_count(LabeledGraph(1), host)
+        # every vertex but one fixed: the search is the last level alone
+        for h, fixed in [(path(3), {0: 0, 1: 1}), (cycle(4), {0: 0, 1: 1, 3: 2})]:
+            g = complete(6)
+            assert frame_count(h, g, fixed) == len(stream(h, g, fixed)) == len(permitted_maps(h, g, fixed))
+
+    def test_pattern_larger_than_host_and_empty_host(self):
+        assert count_embeddings(path(3), complete(2)) == 0 == count_copies(path(3), complete(2))
+        assert count_embeddings(LabeledGraph(1), LabeledGraph(0)) == 0
+        assert count_embeddings(LabeledGraph(0), LabeledGraph(0)) == 1 == len(stream(LabeledGraph(0), LabeledGraph(0)))
+        assert count_embeddings(LabeledGraph(0), complete(3)) == 1
+
+    def test_fully_fixed_map_is_one_frame(self):
+        fixed = {0: 4, 1: 2, 2: 0, 3: 1}
+        assert list(embed._frames(cycle(4), complete(5), fixed, None, None)) == [([4, 2, 0, 1], None, 1)]
+        assert frame_count(cycle(4), complete(5), fixed) == 1
+
+    def test_avoid_drops_exactly_the_maps_through_avoided_vertices(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            h = random_graph(rng, int(rng.integers(2, 5)))
+            g = random_graph(rng, int(rng.integers(h.vertex_count, 8)))
+            fixed = random_partial_map(rng, h, g, int(rng.integers(0, h.vertex_count)))
+            if fixed is None:
+                continue
+            avoid = int(rng.integers(0, 1 << g.vertex_count))
+            placed = [v for v in range(h.vertex_count) if v not in fixed]
+            expected = [m for m in permitted_maps(h, g, fixed) if not any(avoid >> m[v] & 1 for v in placed)]
+            got = list(embed._backtrack(h, g, fixed, None, None, avoid=avoid))
+            assert got == expected
+            assert frame_count(h, g, fixed, avoid=avoid) == len(expected)
 
 class TestIsFree:
     def test_triangle_with_pendant_is_c4_free(self):

@@ -1,8 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every public name of the package is reached from outside the tests.
 
-`__init__.py` is left out: it imports to re-export.  An import line marked
-`# noqa: F401` is kept on purpose (for instance so a test can patch the
-name in that module) and is not reported.
+`__init__.py` is left out of both scans: it imports to re-export.  An
+import line marked `# noqa: F401` is kept on purpose (for instance so a test
+can patch the name in that module) and is not reported.
 """
 
 import ast
@@ -10,8 +11,23 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "edgeglue"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "edgeglue"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the code a user runs: the package, the benchmark (not its tests) and the demos
+USER_CODE = MODULES + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+# Public names that nothing in USER_CODE refers to, each with why it stays.
+UNREACHED_KEPT = {
+    "GoodnessParams": "exported: the (alpha, A or C, eta or beta) supersaturation parameters",
+    "es_beta": "exported: the paper's beta for s glued copies, checked in test_bounds",
+    "cleaning_constant": "exported: the cleaning threshold's analytic constant, for reports",
+    "almost_regular": "exported: the paper's almost-regularity test Delta <= K delta",
+    "disjoint_blowup": "exported: the paper's packing of disjoint copies into an (m, n) host",
+    "enumerate_extensions": "exported: the extensions of one rooted psi, the families' unit",
+    "empty_graph": "exported constructor beside complete, cycle and path",
+    "rough_count_check": "exported: the paper's rough copy-count floor (K/2)^e(H) z",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +69,47 @@ def test_scan_sees_unused_and_marked_imports():
         "    return osp.join(x)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 5: Sequence"]
+
+
+def public_names(source: str) -> list[str]:
+    """Names that source defines at module level without a leading underscore."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in out if not name.startswith("_")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name source reads, bare or as an attribute.  A local of the same
+    spelling counts too, so the scan can miss a dead name, never invent one."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_reached_or_kept_for_a_reason():
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in USER_CODE))
+    defined = [n for p in MODULES for n in public_names(p.read_text(encoding="utf-8"))]
+    unreached = sorted(n for n in defined if n not in used)
+    assert unreached == sorted(UNREACHED_KEPT)
+
+
+def test_name_scan_sees_defined_and_read_names():
+    source = (
+        "LIMIT = 3\n"
+        "_private = 1\n"
+        "class Shape:\n"
+        "    pass\n"
+        "def area(s):\n"
+        "    return s.width * LIMIT\n"
+    )
+    assert public_names(source) == ["LIMIT", "Shape", "area"]
+    assert referenced_names(source) == {"s", "width", "LIMIT"}

@@ -2,7 +2,6 @@
 the rough copy-count check."""
 
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -31,7 +30,6 @@ from edgeglue.supersat import (
     assemble_glued_copies,
     build_balanced_family,
     build_signed_balanced_family,
-    derived_caps,
     extension_degrees,
     heavy_light_split,
     remaining_recruitable,
@@ -91,18 +89,6 @@ class TestBuilder:
         a = build_balanced_family(host, C4_ROOTED, caps, SeededSampler(5))
         b = build_balanced_family(host, C4_ROOTED, caps, SeededSampler(5))
         assert [m.map for m in a.members] == [m.map for m in b.members]
-
-    def test_caps_from_cleaning_params(self):
-        c = FamilyConstraints.from_cleaning_params(10, Fraction(1, 2), Fraction(1, 5))
-        assert c.per_edge_cap == 15 and c.per_pair_cap == 2
-
-    def test_derived_caps_reporting(self):
-        from edgeglue.bounds import PatternStats
-
-        stats = PatternStats(h=4, eH=4, ell=2, eF=1)
-        per_pair, per_edge = derived_caps(stats, 0.5, 10, 1, family_size=80, host_edges=20)
-        assert per_pair == pytest.approx(0.5**3 * 100)
-        assert per_edge == pytest.approx(8)
 
 
 class TestSignedBuilder:

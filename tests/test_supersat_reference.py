@@ -1,12 +1,16 @@
 """The balanced-family builder, the maximality check and the cap check of
-verify_family against a reference that shares no code with supersat or the
-embedding backtracker.
+verify_family against references that share no code with supersat.
 
-The reference lists every map by itertools.permutations with direct
+The first reference lists every map by itertools.permutations with direct
 has_edge checks, orders the maps the way the builder's stream promises (the
 position of the image of the distinguished edge in the edge order, then the
 orientation, then the map tuple) and applies the caps itself.  Hosts
 have at most 8 vertices, so the permutation scan stays small.
+
+The second is the builder as it was before its stream pruned saturated
+vertices: the per-map backtracker's stream through every host edge, cut
+only at the per-edge cap, with the caps applied here.  It runs on seeded
+hosts of 20 to 36 vertices, the sizes of the benchmark's families.
 """
 
 import itertools
@@ -14,10 +18,13 @@ import json
 import random
 from collections import Counter
 
+from edgeglue import embed, supersat
 from edgeglue.constructions import SeededSampler
+from edgeglue.embed import Embedding
 from edgeglue.gluing import RootedPattern
 from edgeglue.graphs import LabeledGraph, SignedBipartiteGraph
 from edgeglue.supersat import (
+    BalancedFamily,
     FamilyConstraints,
     build_balanced_family,
     build_signed_balanced_family,
@@ -317,3 +324,161 @@ class TestVerifyAgainstReference:
             assert report.repeated_members == tuple(range(size, fam.size))
             checked += 1
         assert checked >= 40
+
+
+def unpruned_stream(host, pattern, f, colors, edge_order, edge_deg, per_edge):
+    """The candidate stream before it pruned saturated vertices: every map
+    through each host edge in edge order, both orientations, lexicographic
+    inside each; a group is left once its edge is at the per-edge cap."""
+    a, b = f
+    pc, hc = colors or (None, None)
+    for e in edge_order:
+        x, y = e
+        for fixed in ({a: x, b: y}, {a: y, b: x}):
+            if per_edge is not None and edge_deg[e] >= per_edge:
+                break
+            if pc is not None and (pc[a] != hc[fixed[a]] or pc[b] != hc[fixed[b]]):
+                continue
+            for img in embed._backtrack(pattern, host, fixed, pc, hc):
+                yield img
+                if per_edge is not None and edge_deg[e] >= per_edge:
+                    break
+
+
+def unpruned_build(host, pattern, f, roots, colors, edge_order, caps):
+    edge_deg, pair_deg, members = Counter(), Counter(), []
+    for img in unpruned_stream(host, pattern, f, colors, edge_order, edge_deg, caps.per_edge_cap):
+        if caps.target_size is not None and len(members) >= caps.target_size:
+            break
+        if admits(img, f, roots, edge_deg, pair_deg, caps.per_edge_cap, caps.per_pair_cap):
+            add(img, f, roots, edge_deg, pair_deg)
+            members.append(img)
+    return members
+
+
+def unpruned_remaining(host, pattern, f, roots, colors, members, caps):
+    edge_deg, pair_deg = Counter(), Counter()
+    for img in members:
+        add(img, f, roots, edge_deg, pair_deg)
+    in_family = set(members)
+    stream = unpruned_stream(host, pattern, f, colors, sorted(host.edges), edge_deg, caps.per_edge_cap)
+    return [
+        list(img)
+        for img in stream
+        if img not in in_family
+        and admits(img, f, roots, edge_deg, pair_deg, caps.per_edge_cap, caps.per_pair_cap)
+    ]
+
+
+def gnm(rng, n, m):
+    return LabeledGraph(n, rng.sample(list(itertools.combinations(range(n), 2)), m))
+
+
+C6_EDGES = [(i, (i + 1) % 6) for i in range(6)]
+# (vertex count, edges, roots, root edges); the distinguished edge is (0, 1).
+# Roots on (0, 1) pin psi in each orientation; the others do not.
+LARGE_PATTERNS = UNSIGNED_PATTERNS + (
+    (6, C6_EDGES, (0, 1), [(0, 1)]),  # C6
+    (6, C6_EDGES, (0,), []),  # C6, one root on the distinguished edge
+    (4, [(0, 1), (1, 2), (2, 3)], (1,), []),  # P4, one root on the distinguished edge
+    (4, [(0, 1), (1, 2), (2, 3)], (2,), []),  # P4, one root off it
+    (5, [(0, 1), (0, 3), (2, 1), (2, 3), (4, 1), (4, 3)], (0, 1, 2), [(0, 1), (1, 2)]),  # K2,3, F = P3
+)
+LARGE_CAPS = (None, 0, 1, 2, 3)
+
+
+class TestPrunedStreamAtScale:
+    """The pruned builder and maximality check against the unpruned ones,
+    on hosts of 20 to 36 vertices under every pair of caps."""
+
+    def _check(self, fam, pattern, f, roots, colors, seed, caps):
+        edge_order = reference_edge_order(fam.host, seed)
+        members = unpruned_build(fam.host, pattern, f, roots, colors, edge_order, caps)
+        expected = BalancedFamily(
+            fam.host, fam.pattern, [Embedding(pattern, fam.host, m) for m in members],
+            fam.signed_host, fam.signed_pattern,
+        )
+        assert fam.to_json() == expected.to_json(), (fam.pattern, caps, seed)
+        # the same family checked under a looser per-edge cap keeps a list
+        looser = FamilyConstraints(
+            per_edge_cap=None if caps.per_edge_cap is None else caps.per_edge_cap + 1,
+            per_pair_cap=caps.per_pair_cap,
+        )
+        for check in (caps, looser):
+            got = [list(e.map) for e in remaining_recruitable(fam, check)]
+            assert got == unpruned_remaining(fam.host, pattern, f, roots, colors, members, check)
+        return len(members)
+
+    def test_unsigned(self):
+        rng = random.Random(20258)
+        sizes = 0
+        for k, edges, roots, root_edges in LARGE_PATTERNS:
+            pattern = RootedPattern(LabeledGraph(k, edges), roots, frozenset(root_edges), (0, 1))
+            for per_edge in LARGE_CAPS:
+                n = rng.randint(20, 36)
+                host = gnm(rng, n, rng.randint(n, 2 * n) if k == 6 else rng.randint(2 * n, 3 * n))
+                caps = FamilyConstraints(
+                    per_edge_cap=per_edge, per_pair_cap=rng.choice(LARGE_CAPS),
+                    target_size=rng.choice((None, None, 5, 40)),
+                )
+                seed = rng.choice((None, rng.randrange(1000)))
+                fam = build_balanced_family(
+                    host, pattern, caps, None if seed is None else SeededSampler(seed)
+                )
+                sizes += self._check(fam, pattern.pattern, (0, 1), roots, None, seed, caps)
+        assert sizes > 1000
+
+    def test_signed(self):
+        rng = random.Random(20259)
+        h = SignedBipartiteGraph(*SIGNED_PATTERNS[0])  # C4
+        for per_edge in LARGE_CAPS:
+            for per_pair in LARGE_CAPS:
+                m, n = rng.randint(10, 18), rng.randint(10, 18)
+                pairs = [(p, q) for p in range(m) for q in range(n)]
+                host = SignedBipartiteGraph(m, n, rng.sample(pairs, len(pairs) // 4))
+                caps = FamilyConstraints(per_edge_cap=per_edge, per_pair_cap=per_pair)
+                seed = rng.randrange(1000)
+                fam = build_signed_balanced_family(host, h, (0, 0), caps, SeededSampler(seed))
+                flat_f = (0, h.plus_count)
+                self._check(
+                    fam, h.as_unsigned(), flat_f, flat_f, (h.colors, host.colors), seed, caps
+                )
+
+    def test_members_outside_the_host_are_counted_not_avoided(self):
+        # a family file may name any int; such a pair counts toward the cap
+        # but cannot mark a host vertex saturated
+        rng = random.Random(20261)
+        k, edges, roots, root_edges = UNSIGNED_PATTERNS[0]  # C4
+        pattern = RootedPattern(LabeledGraph(k, edges), roots, frozenset(root_edges), (0, 1))
+        host = gnm(rng, 24, 60)
+        caps = FamilyConstraints(per_edge_cap=2, per_pair_cap=1)
+        fam = build_balanced_family(host, pattern, FamilyConstraints(target_size=10))
+        x, y = fam.members[0].map[:2]
+        fam.members += [Embedding(pattern.pattern, host, (x, y, u, 10**6)) for u in (-1, 5)]
+        members = [m.map for m in fam.members]
+        got = [list(e.map) for e in remaining_recruitable(fam, caps)]
+        assert got == unpruned_remaining(host, pattern.pattern, (0, 1), roots, None, members, caps)
+        assert got
+
+    def test_edge_rooted_stream_yields_only_members(self, monkeypatch):
+        """With the roots on the distinguished edge and no target size, every
+        map the pruned stream yields is recruited: admits never says no."""
+        verdicts = []
+        admits_ = supersat._Ledger.admits
+
+        def recording(self, keys):
+            verdicts.append(admits_(self, keys))
+            return verdicts[-1]
+
+        monkeypatch.setattr(supersat._Ledger, "admits", recording)
+        rng = random.Random(20260)
+        for k, edges in ((4, UNSIGNED_PATTERNS[0][1]), (6, C6_EDGES), (4, UNSIGNED_PATTERNS[4][1])):
+            pattern = RootedPattern(LabeledGraph(k, edges), (0, 1), frozenset([(0, 1)]), (0, 1))
+            for per_edge in LARGE_CAPS:
+                for per_pair in LARGE_CAPS:
+                    n = rng.randint(20, 36)
+                    host = gnm(rng, n, rng.randint(n, 2 * n))
+                    caps = FamilyConstraints(per_edge_cap=per_edge, per_pair_cap=per_pair)
+                    verdicts.clear()
+                    fam = build_balanced_family(host, pattern, caps, SeededSampler(n))
+                    assert verdicts == [True] * fam.size, (k, caps)
