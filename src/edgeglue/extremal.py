@@ -23,7 +23,9 @@ independent engines share this representation:
   floor(m z(m-1, n) / (m-1)) and floor(n z(m, n-1) / (n-1)) for K_{m,n};
   the search stops once the incumbent reaches it.  The X come from the
   same search on the smaller hosts, solved once per call; their copy masks
-  are the masks that avoid the deleted vertex.
+  are the masks that avoid the deleted vertex, which keep their bits when
+  that vertex is the last + vertex.  When the patterns are their own side
+  swap, z(a, b) = z(b, a), and one of the two is solved.
 
   Lex-leader symmetry breaking also cuts every host that swapping two
   adjacent vertices makes lexicographically greater (see `_lex_orders`).
@@ -96,7 +98,8 @@ def _prune_dominated(masks: set[int]) -> list[int]:
     Distinct masks with the same bit count cannot contain each other, so each
     mask is only tested against the kept masks with fewer bits.
     """
-    ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
+    ordered = sorted(masks)
+    ordered.sort(key=int.bit_count)
     kept: list[int] = []
     fewer: list[int] = []
     count = -1
@@ -295,8 +298,9 @@ def _host(size: tuple[int, ...]):
 
 
 def _instance(size: tuple[int, ...], patterns):
-    """Edge slots (as `_host` lays them out) and minimal copy masks of the
-    host, sorted by (bit count, value).
+    """Edge slots (as `_host` lays them out), minimal copy masks of the host,
+    sorted by (bit count, value), and whether swapping the sides of K_{P,P}
+    (below) maps its masks onto themselves.
 
     The copies are enumerated once, in a small host: K_K, where K is the
     most vertices of a fitting pattern, or for K_{m,n} the signed K_{P,Q},
@@ -312,11 +316,15 @@ def _instance(size: tuple[int, ...], patterns):
     vertices of c's copy lie in S, and its pattern has at most K vertices,
     so its isolated vertices fit on the rest of S: c is a copy mask of S,
     and the moved mask was not minimal in S.
+
+    If P == Q and the side swap maps the masks of K_{P,P} onto themselves,
+    the patterns and their side swaps have the same copies there, hence,
+    moved as above, in every K_{a,b}: instance (b, a) is the swap of (a, b).
     """
     slots = _host(size)[1]
     fitting = _fitting(size, patterns)
     if not fitting:
-        return slots, []
+        return slots, [], False
     if len(size) == 1:
         small = (max(h.vertex_count for h in fitting),)
         images = combinations(range(size[0]), small[0])
@@ -329,7 +337,10 @@ def _instance(size: tuple[int, ...], patterns):
             for minus in combinations(range(n), small[1])
         )
     small_host, small_slots = _host(small)
-    local = [[k for k in range(c.bit_length()) if c >> k & 1] for c in _copy_masks(small_host, small_slots, fitting)]
+    table = _copy_masks(small_host, small_slots, fitting)
+    local = [[k for k in range(c.bit_length()) if c >> k & 1] for c in table]
+    p = small[0]  # K_{P,P} slot p*P+q is the edge (p, q); its side swap is q*P+p
+    swap = small == (p, p) and {sum(1 << (k % p * p + k // p) for k in ks) for ks in local} == set(table)
     # slots are sorted pairs, and every image is increasing, so each small
     # slot (a, b) with a < b lands on the slot (image[a], image[b])
     at = {e: 1 << k for k, e in enumerate(slots)}
@@ -337,7 +348,9 @@ def _instance(size: tuple[int, ...], patterns):
     for image in images:
         bit = [at[image[a], image[b]] for a, b in small_slots]
         masks.update(sum(map(bit.__getitem__, ks)) for ks in local)
-    return slots, sorted(masks, key=lambda c: (c.bit_count(), c))
+    ordered = sorted(masks)
+    ordered.sort(key=int.bit_count)
+    return slots, ordered, swap
 
 
 def _delete_vertex(slots, masks, v: int):
@@ -348,24 +361,25 @@ def _delete_vertex(slots, masks, v: int):
     down, are the smaller host's slots as `_instance` lays them out.  Its
     copies are the copies that avoid v, so its minimal copy masks are the
     minimal masks that avoid v, moved to the new slot numbers: each set bit
-    of a mask goes to its slot's new bit.
+    of a mask goes to its slot's new bit.  The last + vertex of K_{m,n}
+    holds the top n slots, so there no bit moves and the masks are filtered.
     """
     kept = [k for k, e in enumerate(slots) if v not in e]
     at_v = sum(1 << k for k, e in enumerate(slots) if v in e)
     sub_slots = [(a - (a > v), b - (b > v)) for a, b in (slots[k] for k in kept)]
+    sub_masks = [c for c in masks if not c & at_v]
+    if not at_v & ((1 << len(kept)) - 1):  # v holds the top slots
+        return sub_slots, sub_masks
     new_bit = [0] * len(slots)
     for j, k in enumerate(kept):
         new_bit[k] = 1 << j
-    sub_masks = []
-    for c in masks:
-        if c & at_v:
-            continue
+    for i, c in enumerate(sub_masks):
         sub = 0
         while c:
             low = c & -c
             sub |= new_bit[low.bit_length() - 1]
             c ^= low
-        sub_masks.append(sub)
+        sub_masks[i] = sub
     return sub_slots, sub_masks
 
 
@@ -394,7 +408,7 @@ def _lex_orders(size, slots) -> list[list[tuple[int, int]]]:
     return rows + columns
 
 
-def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
+def _bnb(size, slots, masks, memo: dict, swap: bool = False) -> tuple[int, int]:
     """Branch-and-bound with the vertex-deletion bound (see the module notes).
 
     Each class of k vertices (all of K_n, or one side of K_{m,n}) shares one
@@ -402,6 +416,9 @@ def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
     over the class gives (k - d)|h| <= k X (Katona-Nemetz-Simonovits).  The
     X are solved the same way on the smaller hosts, whose instances come
     from this one by `_delete_vertex`; memo maps a size to its optimum.
+    With swap, as `_instance` reports it, sizes (a, b) and (b, a) have one
+    optimum, kept under the smaller size; the memo holds values only, so
+    sharing them cannot change a witness.
 
     Every search runs under `_lex_orders`, which cuts the hosts that
     swapping two adjacent vertices makes lexicographically greater and so
@@ -422,10 +439,11 @@ def _bnb(size, slots, masks, memo: dict) -> tuple[int, int]:
         star[b] |= 1 << k
     caps, limit = [], len(slots)
     for vertices, smaller, d in classes:
-        if smaller not in memo:
+        key = min(smaller, smaller[::-1]) if swap else smaller
+        if key not in memo:
             sub_slots, sub_masks = _delete_vertex(slots, masks, vertices[-1])
-            memo[smaller] = _bnb(smaller, sub_slots, sub_masks, memo)[0]
-        x = memo[smaller]
+            memo[key] = _bnb(smaller, sub_slots, sub_masks, memo, swap)[0]
+        x = memo[key]
         caps += [(star[v], x) for v in vertices]
         if len(vertices) > d:
             limit = min(limit, len(vertices) * x // (len(vertices) - d))
@@ -511,11 +529,11 @@ def forbidden_certificates(forbidden) -> tuple[str, ...]:
 def _solve(size: tuple[int, ...], forbidden, method: str) -> ExtremalRecord:
     """The front end both exact_* share: masks, one engine, checked witness, record."""
     t0 = time.perf_counter()
-    slots, masks = _instance(size, forbidden)
+    slots, masks, swap = _instance(size, forbidden)
     if method == "oracle":
         value, wmask = exhaustive_max_free(len(slots), masks)
     else:
-        value, wmask = _bnb(size, slots, masks, {})
+        value, wmask = _bnb(size, slots, masks, {}, swap)
     w = LabeledGraph(sum(size), [e for k, e in enumerate(slots) if wmask >> k & 1])
     if len(size) == 2:
         w = SignedBipartiteGraph.from_flat(size[0], w)

@@ -182,8 +182,10 @@ def _candidate_stream(fam: BalancedFamily, ledger: _Ledger, edge_order):
     lie on the distinguished edge, an orientation pins psi, and its maps
     avoid the vertices u saturated for psi; when a recruit saturates more,
     the orientation restarts with the larger mask past the last map it
-    yielded.  Both cuts are exact because degrees only grow and the ledger
-    admits no map through an edge at the cap or a saturated pair.
+    yielded, and it is skipped or left once an end of the edge outside psi
+    is saturated, since every map of it uses that end.  The cuts are exact
+    because degrees only grow and the ledger admits no map through an edge
+    at the cap or a saturated pair.
     """
     p = fam.pattern
     a, b = p.distinguished_edge
@@ -200,7 +202,10 @@ def _candidate_stream(fam: BalancedFamily, ledger: _Ledger, edge_order):
             if pc is not None and (pc[a] != hc[fixed[a]] or pc[b] != hc[fixed[b]]):
                 continue
             psi = tuple([fixed[r] for r in p.root_vertices]) if pinned else None
+            ends = sum(1 << fixed[v] for v in (a, b) if v not in p.root_vertices) if pinned else 0
             avoid = ledger.avoid(psi) if pinned else 0
+            if avoid & ends:
+                continue
             maps = _backtrack(p.pattern, fam.host, fixed, pc, hc, avoid=avoid)
             while (m := next(maps, None)) is not None:
                 yield m
@@ -208,6 +213,8 @@ def _candidate_stream(fam: BalancedFamily, ledger: _Ledger, edge_order):
                     break
                 if pinned and ledger.avoid(psi) != avoid:
                     avoid = ledger.avoid(psi)
+                    if avoid & ends:
+                        break
                     maps = _backtrack(p.pattern, fam.host, fixed, pc, hc, avoid=avoid)
                     maps = dropwhile(m.__ge__, maps)
 

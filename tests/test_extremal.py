@@ -203,7 +203,7 @@ class TestExhaustiveOracle:
         ids=["ex7-c4", "ex7-hstar", "z55-c4", "z55-hstar", "z47-c4"],
     )
     def test_pinned_value_and_witness(self, size, patterns, expected):
-        slots, masks = extremal._instance(size, patterns)
+        slots, masks, _ = extremal._instance(size, patterns)
         assert extremal.exhaustive_max_free(len(slots), masks) == expected
 
     @settings(max_examples=150, deadline=None)
@@ -330,8 +330,8 @@ class TestDeleteVertex:
 
     @staticmethod
     def assert_derived(size, smaller, v, patterns):
-        derived_slots, derived_masks = extremal._delete_vertex(*extremal._instance(size, patterns), v)
-        slots, masks = extremal._instance(smaller, patterns)
+        derived_slots, derived_masks = extremal._delete_vertex(*extremal._instance(size, patterns)[:2], v)
+        slots, masks, _ = extremal._instance(smaller, patterns)
         assert list(derived_slots) == list(slots)
         assert sorted(derived_masks) == sorted(masks)
 
@@ -387,7 +387,7 @@ class TestDeleteVertex:
     def test_matches_the_reference_formula(self):
         count = 0
         for size, patterns in self.benchmark_instances():
-            slots, masks = extremal._instance(size, patterns)
+            slots, masks, _ = extremal._instance(size, patterns)
             # the last vertex of K_n, or of either side of K_{m,n}
             for v in {size[0] - 1, sum(size) - 1}:
                 assert extremal._delete_vertex(slots, masks, v) == self.reference(slots, masks, v)
@@ -456,8 +456,90 @@ class TestWitnessContract:
     @example(((5,), [cycle(4), path(4)]))
     def test_matches_a_scan_of_every_host(self, case):
         size, patterns = case
-        slots, masks = extremal._instance(size, patterns)
+        slots, masks, _ = extremal._instance(size, patterns)
         assert extremal._bnb(size, slots, masks, {}) == scan_first_optimum(len(slots), masks)
+
+
+# The signed patterns of the benchmark's sweep, as (plus, minus, edges).
+SWEEP_SIGNED = {
+    "c4": (2, 2, ((0, 0), (1, 1), (0, 1), (1, 0))),
+    "c6": (3, 3, ((0, 0), (1, 1), (2, 2), (0, 2), (1, 0), (2, 1))),
+    "k2,3": (2, 3, tuple((p, q) for p in range(2) for q in range(3))),
+    "s2+": (1, 2, ((0, 0), (0, 1))),
+    "s2-": (2, 1, ((0, 0), (1, 0))),
+    "s3+": (1, 3, ((0, 0), (0, 1), (0, 2))),
+    "s3-": (3, 1, ((0, 0), (1, 0), (2, 0))),
+    "h*": (3, 3, ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 2))),
+}
+
+
+def side_swap(h: SignedBipartiteGraph) -> SignedBipartiteGraph:
+    return SignedBipartiteGraph(h.minus_count, h.plus_count, [(q, p) for p, q in h.edges])
+
+
+class TestSideSwapSharing:
+    """`_bnb` answers z(b, a) from z(a, b) only when the patterns are their
+    own side swap, and the sharing changes no value and no witness."""
+
+    @pytest.mark.parametrize("name", SWEEP_SIGNED)
+    def test_same_value_and_witness_as_a_plain_memo(self, name):
+        h = SignedBipartiteGraph(*SWEEP_SIGNED[name])
+        top = 6 if name == "c4" else 5
+        for m in range(1, top + 1):
+            for n in range(1, top + 1):
+                slots, masks, swap = extremal._instance((m, n), [h])
+                shared = extremal._bnb((m, n), slots, masks, {}, swap)
+                assert shared == extremal._bnb((m, n), slots, masks, {})
+
+    @pytest.mark.parametrize("name", SWEEP_SIGNED)
+    def test_flag_is_isomorphism_to_the_side_swap(self, name):
+        h = SignedBipartiteGraph(*SWEEP_SIGNED[name])
+        swap = extremal._instance((3, 3), [h])[2]
+        assert swap == (canonical_form(side_swap(h)) == canonical_form(h))
+        assert swap == (name in ("c4", "c6", "h*"))
+
+    def test_flag_of_a_family(self):
+        # {s2+, s2-} is its own side swap though neither member is
+        family = [signed_star(2), signed_star(2, center_plus=False)]
+        assert extremal._instance((3, 3), family)[2]
+        assert not extremal._instance((3, 3), family[:1])[2]
+
+    def test_k23_never_shares(self):
+        h = SignedBipartiteGraph(*SWEEP_SIGNED["k2,3"])
+        slots, masks, swap = extremal._instance((4, 4), [h])
+        memo = {}
+        extremal._bnb((4, 4), slots, masks, memo, swap)
+        assert not swap
+        assert (memo[2, 3], memo[3, 2]) == (5, 6)
+
+    def test_fewer_sub_solves(self):
+        slots, masks, swap = extremal._instance((5, 5), [signed_cycle(4)])
+        calls = []
+        for share in (swap, False):
+            with mock.patch.object(extremal, "_delete_vertex", wraps=extremal._delete_vertex) as spy:
+                assert extremal._bnb((5, 5), slots, masks, {}, share)[0] == 12
+            calls.append(spy.call_count)
+        # one sub-solve per transposed pair of the 23 sizes reached below (5, 5)
+        assert calls == [13, 23]
+
+
+class TestPinnedPairs:
+    """The (value, witness) pairs of the benchmark's queries: the 174 sweep
+    queries, the 6 proof jobs and ex(8, H*), each with its inputs, as the
+    search returned them when `tests/data/extremal_pairs.json` was written."""
+
+    def test_every_pair(self):
+        cases = json.loads((Path(__file__).resolve().parent / "data" / "extremal_pairs.json").read_text())
+        assert len(cases) == 181
+        for case in cases:
+            if case["kind"] == "ex":
+                forbidden = [LabeledGraph(k, [tuple(e) for e in edges]) for k, edges in case["forbidden"]]
+                rec = exact_turan(case["size"][0], forbidden, method=case["method"])
+            else:
+                plus, minus, edges = case["pattern"]
+                h = SignedBipartiteGraph(plus, minus, [tuple(e) for e in edges])
+                rec = exact_zarankiewicz(*case["size"], h, method=case["method"])
+            assert (rec.value, rec.witness) == (case["value"], case["witness"]), case
 
 
 class TestRatioReport:

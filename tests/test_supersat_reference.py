@@ -460,9 +460,8 @@ class TestPrunedStreamAtScale:
         assert got == unpruned_remaining(host, pattern.pattern, (0, 1), roots, None, members, caps)
         assert got
 
-    def test_edge_rooted_stream_yields_only_members(self, monkeypatch):
-        """With the roots on the distinguished edge and no target size, every
-        map the pruned stream yields is recruited: admits never says no."""
+    @staticmethod
+    def record_verdicts(monkeypatch) -> list:
         verdicts = []
         admits_ = supersat._Ledger.admits
 
@@ -471,6 +470,12 @@ class TestPrunedStreamAtScale:
             return verdicts[-1]
 
         monkeypatch.setattr(supersat._Ledger, "admits", recording)
+        return verdicts
+
+    def test_edge_rooted_stream_yields_only_members(self, monkeypatch):
+        """With the roots on the distinguished edge and no target size, every
+        map the pruned stream yields is recruited: admits never says no."""
+        verdicts = self.record_verdicts(monkeypatch)
         rng = random.Random(20260)
         for k, edges in ((4, UNSIGNED_PATTERNS[0][1]), (6, C6_EDGES), (4, UNSIGNED_PATTERNS[4][1])):
             pattern = RootedPattern(LabeledGraph(k, edges), (0, 1), frozenset([(0, 1)]), (0, 1))
@@ -482,3 +487,23 @@ class TestPrunedStreamAtScale:
                     verdicts.clear()
                     fam = build_balanced_family(host, pattern, caps, SeededSampler(n))
                     assert verdicts == [True] * fam.size, (k, caps)
+
+    def test_single_root_on_the_edge_yields_only_members(self, monkeypatch):
+        """With one root on the distinguished edge, the other end is fixed in
+        every map of an orientation; once it is saturated for psi the
+        orientation yields nothing more, so every yield is recruited and the
+        family is the unpruned builder's."""
+        verdicts = self.record_verdicts(monkeypatch)
+        rng = random.Random(20262)
+        for k, edges in ((6, C6_EDGES), (4, UNSIGNED_PATTERNS[4][1])):
+            for roots in ((0,), (1,)):
+                pattern = RootedPattern(LabeledGraph(k, edges), roots, frozenset(), (0, 1))
+                for per_edge in LARGE_CAPS:
+                    for per_pair in LARGE_CAPS:
+                        n = rng.randint(20, 36)
+                        host = gnm(rng, n, rng.randint(n, 2 * n))
+                        caps = FamilyConstraints(per_edge_cap=per_edge, per_pair_cap=per_pair)
+                        verdicts.clear()
+                        fam = build_balanced_family(host, pattern, caps, SeededSampler(n))
+                        assert verdicts == [True] * fam.size, (k, roots, caps)
+                        self._check(fam, pattern.pattern, (0, 1), roots, None, n, caps)
