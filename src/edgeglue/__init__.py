@@ -8,13 +8,11 @@ constructions.
 
 from .bounds import (
     CleaningThreshold,
-    GoodnessParams,
     PatternStats,
     binom_ratio_bounds,
     cleaning_threshold,
     cycle_tree_exponent,
     deletion_exponent,
-    es_beta,
     es_exponent_forest,
     feasibility_check,
     tree_gluing_exponent,
@@ -28,11 +26,9 @@ from .canon import (
 )
 from .constructions import (
     SeededSampler,
-    almost_regular,
     delete_per_copy,
     deletion_construction,
     deletion_probability,
-    disjoint_blowup,
     random_sign_split,
     sample_gnp,
 )
@@ -42,7 +38,6 @@ from .embed import (
     count_embeddings,
     enumerate_copies,
     enumerate_embeddings,
-    enumerate_extensions,
     is_free,
 )
 from .errors import EdgeGlueError
@@ -73,7 +68,6 @@ from .graphs import (
     complete_bipartite,
     cycle,
     decode_graph6,
-    empty_graph,
     encode_graph6,
     parse_graph,
     parse_signed_graph,

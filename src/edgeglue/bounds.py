@@ -20,21 +20,6 @@ from .graphs import LabeledGraph
 
 
 @dataclass(frozen=True)
-class GoodnessParams:
-    """(alpha, A-or-C, eta-or-beta) supersaturation parameters."""
-
-    alpha: Fraction
-    big_a: Fraction
-    eta: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < 1:
-            raise ValueError("alpha must lie in [0, 1)")
-        if self.big_a <= 0 or self.eta <= 0:
-            raise ValueError("A and eta must be positive")
-
-
-@dataclass(frozen=True)
 class PatternStats:
     """Vertex/edge counts of a pattern H and its rooted subforest F."""
 
@@ -89,18 +74,6 @@ def es_exponent_branches(alpha, s: PatternStats) -> tuple[Fraction, Fraction]:
     denom = (s.ell - 1) + (1 - s.eF) * (1 - alpha)
     second = 1 - (1 - alpha) / denom
     return first, second
-
-
-def es_beta(eta, s: PatternStats, big_k, copies: int) -> Fraction:
-    """beta = 4^{-e(H)} * (eta / (4 * 8^{e(H)} * (6K)^{e(F)}))^copies."""
-    eta = Fraction(eta)
-    big_k = Fraction(big_k)
-    if big_k <= 0:
-        raise PreconditionViolated("K must be positive")
-    if copies < 1:
-        raise PreconditionViolated("need at least one copy")
-    inner = eta / (4 * Fraction(8) ** s.eH * (6 * big_k) ** s.eF)
-    return Fraction(1, 4**s.eH) * inner**copies
 
 
 def tree_gluing_exponent(t: LabeledGraph) -> Fraction:
@@ -173,18 +146,6 @@ def cleaning_threshold(n: int, s: PatternStats, gamma, alpha, c=1) -> CleaningTh
         value=float(c) * max(v1, v2),
         dominating_branch=dominating,
     )
-
-
-def cleaning_constant(s: PatternStats, alpha, big_a, eta_prime) -> float:
-    """The full analytic constant in the threshold; astronomically
-    conservative at reachable n, reported but never used to gate builds."""
-    alpha = Fraction(alpha)
-    big_a = Fraction(big_a)
-    eta_prime = Fraction(eta_prime)
-    first = float(16 * big_a) ** (s.ell - 1) * float(8 * eta_prime * s.h) ** float(1 - alpha)
-    first **= 1.0 / float((s.ell - 1) + (1 - s.eF) * (1 - alpha))
-    second = 2.0 ** (1.0 / (s.eH - s.eF))
-    return max(first, second)
 
 
 def deletion_exponent(f: LabeledGraph) -> Fraction:

@@ -15,7 +15,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .embed import enumerate_embeddings
-from .errors import PartSizeMismatch, PreconditionViolated, TooFewEdges
+from .errors import PreconditionViolated, TooFewEdges
 from .graphs import LabeledGraph, SignedBipartiteGraph
 
 if TYPE_CHECKING:
@@ -89,17 +89,6 @@ def deletion_construction(n: int, f: LabeledGraph, sampler: SeededSampler) -> La
     return delete_per_copy(sample_gnp(n, p, sampler), f)
 
 
-def almost_regular(g: LabeledGraph, k) -> bool:
-    """Delta(G) <= K * delta(G); graphs with delta = 0 qualify only if
-    Delta = 0."""
-    if g.vertex_count == 0:
-        raise ValueError("need at least one vertex")
-    delta, big_delta = g.min_degree(), g.max_degree()
-    if delta == 0:
-        return big_delta == 0
-    return big_delta <= Fraction(k) * delta
-
-
 def random_sign_split(g: LabeledGraph, sampler: SeededSampler) -> SignedBipartiteGraph:
     """Uniform equipartition into + and - sides; keep crossing edges only."""
     v = g.vertex_count
@@ -110,29 +99,6 @@ def random_sign_split(g: LabeledGraph, sampler: SeededSampler) -> SignedBipartit
     order = sorted(plus) + [u for u in range(v) if u not in plus]
     flat = LabeledGraph(v, crossing).relabel({u: i for i, u in enumerate(order)})
     return SignedBipartiteGraph.from_flat(k, flat)
-
-
-def disjoint_blowup(
-    g0: SignedBipartiteGraph, q1, q2, m: int, n: int
-) -> SignedBipartiteGraph:
-    """Pack floor(1/max(q1,q2)) disjoint copies of g0 into an (m, n) host,
-    padded with isolated vertices."""
-    q1, q2 = Fraction(q1), Fraction(q2)
-    if not (0 < q1 <= 1 and 0 < q2 <= 1):
-        raise PartSizeMismatch("need 0 < q1, q2 <= 1")
-    if (q1 * m).denominator != 1 or (q2 * n).denominator != 1:
-        raise PartSizeMismatch("q1*m and q2*n must be integers")
-    pm, pn = int(q1 * m), int(q2 * n)
-    if (g0.plus_count, g0.minus_count) != (pm, pn):
-        raise PartSizeMismatch(
-            f"g0 has parts {(g0.plus_count, g0.minus_count)}, expected {(pm, pn)}"
-        )
-    copies = int(1 / max(q1, q2))
-    edges = []
-    for c in range(copies):
-        for p, q in g0.edges:
-            edges.append((c * pm + p, c * pn + q))
-    return SignedBipartiteGraph(m, n, edges)
 
 
 def mean_edge_floor(n: int, p: float) -> float:

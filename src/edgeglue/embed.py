@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .canon import automorphism_count, signed_automorphism_count
-from .errors import InvalidPartialMap, InvariantViolation, SizeExceeded
+from .errors import InvariantViolation, SignMismatch, SizeExceeded
 from .graphs import LabeledGraph, SignedBipartiteGraph
 
 MAX_PATTERN_VERTICES = 12
@@ -186,9 +186,10 @@ def _backtrack(*args, **kwargs) -> Iterator[tuple[int, ...]]:
 
 def _flatten(h, g):
     """(pattern, host, pattern colours, host colours) on flattened vertex sets;
-    the colours are None for unsigned graphs."""
+    the colours are None for unsigned graphs.  A signed graph with an
+    unsigned one raises SignMismatch."""
     if isinstance(h, SignedBipartiteGraph) != isinstance(g, SignedBipartiteGraph):
-        raise TypeError("pattern and host must both be signed or both unsigned")
+        raise SignMismatch("pattern and host must both be signed or both unsigned")
     if isinstance(h, SignedBipartiteGraph):
         pc, hc = h.colors, g.colors
         h, g = h.as_unsigned(), g.as_unsigned()
@@ -288,37 +289,3 @@ def count_copies(h, g) -> int:
 def is_free(g, h) -> bool:
     """True iff g contains no copy of h; short-circuits on the first hit."""
     return next(enumerate_embeddings(h, g), None) is None
-
-
-def enumerate_extensions(psi, rooted_pattern, host: LabeledGraph) -> Iterator[Embedding]:
-    """All full embeddings of the rooted pattern's H that restrict to psi on F.
-
-    psi maps the pattern's root vertices to host vertices, given either as a
-    dict {root vertex -> host vertex} or a sequence aligned with
-    rooted_pattern.root_vertices.
-    """
-    p = rooted_pattern
-    roots = list(p.root_vertices)
-    if not isinstance(psi, dict):
-        if len(psi) != len(roots):
-            raise InvalidPartialMap("psi length does not match root count")
-        psi = dict(zip(roots, psi))
-    if set(psi) != set(roots):
-        raise InvalidPartialMap("psi must be defined exactly on the root vertices")
-    images = list(psi.values())
-    if len(set(images)) != len(images):
-        raise InvalidPartialMap("psi is not injective")
-    for u in images:
-        host.check_vertex(u)
-    for a, b in p.root_edges:
-        if not host.has_edge(psi[a], psi[b]):
-            raise InvalidPartialMap(f"psi does not embed F: edge {(a, b)} broken")
-    # H-edges inside the root set but outside F must also land on host edges,
-    # otherwise no extension exists
-    rootset = set(roots)
-    for a, b in p.pattern.edges:
-        if a in rootset and b in rootset and not host.has_edge(psi[a], psi[b]):
-            return
-    _check_caps(p.pattern.vertex_count, host.vertex_count)
-    for m in _backtrack(p.pattern, host, dict(psi), None, None):
-        yield Embedding(p.pattern, host, m)

@@ -41,10 +41,6 @@ class InvalidAttachIndex(EdgeGlueError):
     pass
 
 
-class InvalidPartialMap(EdgeGlueError):
-    pass
-
-
 class EmptyForbiddenSet(EdgeGlueError):
     pass
 
@@ -58,10 +54,6 @@ class TooFewEdges(EdgeGlueError):
 
 
 class PreconditionViolated(EdgeGlueError):
-    pass
-
-
-class PartSizeMismatch(EdgeGlueError):
     pass
 
 

@@ -53,6 +53,7 @@ from .errors import (
     EmptyForbiddenSet,
     InfeasibleInput,
     InvariantViolation,
+    SignMismatch,
     SizeExceeded,
 )
 from .graphs import (
@@ -561,10 +562,12 @@ def _check_cap(method: str, measure: str, size: int):
 
 
 def exact_turan(n: int, forbidden, method: str = "branch-and-bound") -> ExtremalRecord:
-    """Exact ex(n, forbidden family) with an optimal witness."""
+    """Exact ex(n, forbidden family) of unsigned patterns, with an optimal witness."""
     forbidden = list(forbidden)
     if not forbidden:
         raise EmptyForbiddenSet("need at least one forbidden pattern")
+    if any(isinstance(h, SignedBipartiteGraph) for h in forbidden):
+        raise SignMismatch("ex needs unsigned patterns; a signed one goes to exact_zarankiewicz")
     _check_cap(method, "n", n)
     return _solve((n,), forbidden, method)
 
@@ -573,6 +576,8 @@ def exact_zarankiewicz(
     m: int, n: int, h: SignedBipartiteGraph, method: str = "branch-and-bound"
 ) -> ExtremalRecord:
     """Exact z(m, n, h) for a signed bipartite pattern, with witness."""
+    if not isinstance(h, SignedBipartiteGraph):
+        raise SignMismatch("z needs a signed pattern; an unsigned one goes to exact_turan")
     _check_cap(method, "m*n", m * n)
     return _solve((m, n), [h], method)
 

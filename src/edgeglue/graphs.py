@@ -91,12 +91,6 @@ class LabeledGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)
 
-    def max_degree(self) -> int:
-        return max(self.degrees, default=0)
-
-    def min_degree(self) -> int:
-        return min(self.degrees, default=0)
-
     def has_edge(self, a: int, b: int) -> bool:
         return _normalize_edge((a, b)) in self.edges
 
@@ -306,10 +300,6 @@ def complete(n: int) -> LabeledGraph:
 
 def complete_bipartite(a: int, b: int) -> LabeledGraph:
     return LabeledGraph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def empty_graph(n: int) -> LabeledGraph:
-    return LabeledGraph(n, [])
 
 
 def signed_cycle(k: int) -> SignedBipartiteGraph:

@@ -6,14 +6,11 @@ from fractions import Fraction
 import pytest
 
 from edgeglue.bounds import (
-    GoodnessParams,
     PatternStats,
     binom_ratio_bounds,
-    cleaning_constant,
     cleaning_threshold,
     cycle_tree_exponent,
     deletion_exponent,
-    es_beta,
     es_exponent_branches,
     es_exponent_forest,
     feasibility_check,
@@ -36,13 +33,6 @@ class TestPatternStats:
             PatternStats(h=4, eH=4, ell=4, eF=1)
         with pytest.raises(ValueError):
             PatternStats(h=4, eH=4, ell=2, eF=4)
-
-    def test_goodness_params_guards(self):
-        GoodnessParams(Fraction(1, 2), Fraction(1), Fraction(1))
-        with pytest.raises(ValueError):
-            GoodnessParams(Fraction(1), Fraction(1), Fraction(1))
-        with pytest.raises(ValueError):
-            GoodnessParams(Fraction(1, 2), Fraction(0), Fraction(1))
 
 
 class TestForestExponent:
@@ -77,28 +67,6 @@ class TestFeasibility:
         assert not feasibility_check(cycle(4), Fraction(0))
 
 
-class TestBeta:
-    def test_direct_substitution(self):
-        s = PatternStats(h=3, eH=2, ell=2, eF=1)
-        assert es_beta(1, s, 1, 1) == Fraction(1, 24576)
-
-    def test_s_two_squares_inner_factor(self):
-        s = PatternStats(h=3, eH=2, ell=2, eF=1)
-        inner = Fraction(1, 4 * 64 * 6)
-        assert es_beta(1, s, 1, 2) == Fraction(1, 16) * inner**2
-
-    def test_strictly_decreasing_in_copies(self):
-        s = PatternStats(h=4, eH=4, ell=2, eF=1)
-        vals = [es_beta(1, s, 2, k) for k in range(1, 5)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_guards(self):
-        with pytest.raises(PreconditionViolated):
-            es_beta(1, C4_EDGE, 0, 1)
-        with pytest.raises(PreconditionViolated):
-            es_beta(1, C4_EDGE, 1, 0)
-
-
 class TestCleaningThreshold:
     def test_c4_second_branch_dominates(self):
         th = cleaning_threshold(100, C4_EDGE, 1, Fraction(1, 2))
@@ -123,10 +91,6 @@ class TestCleaningThreshold:
             cleaning_threshold(0, C4_EDGE, 1, Fraction(1, 2))
         with pytest.raises(PreconditionViolated):
             cleaning_threshold(10, C4_EDGE, 2, Fraction(1, 2))
-
-    def test_analytic_constant_is_reported_not_used(self):
-        c = cleaning_constant(C4_EDGE, Fraction(1, 2), 16, Fraction(1, 2))
-        assert c > 1
 
 
 class TestDeletionExponent:

@@ -1,36 +1,29 @@
-"""Seeded random hosts, the deletion construction, sign splits, and blowups."""
+"""Seeded random hosts, the deletion construction, and sign splits."""
 
 import math
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from edgeglue.constructions import (
     SeededSampler,
-    almost_regular,
     delete_per_copy,
     deletion_construction,
     deletion_probability,
-    disjoint_blowup,
     mean_edge_floor,
     random_sign_split,
     sample_gnp,
 )
 from edgeglue.embed import count_copies, is_free
-from edgeglue.errors import PartSizeMismatch, TooFewEdges
+from edgeglue.errors import TooFewEdges
 from edgeglue.graphs import (
     LabeledGraph,
-    SignedBipartiteGraph,
     complete,
     complete_bipartite,
     cycle,
-    empty_graph,
     encode_graph6,
-    signed_cycle,
-    star,
 )
 
 
@@ -61,7 +54,7 @@ def test_import_leaves_numpy_unloaded():
 
 class TestGnp:
     def test_extreme_probabilities(self):
-        assert sample_gnp(6, 0, SeededSampler(1)) == empty_graph(6)
+        assert sample_gnp(6, 0, SeededSampler(1)) == LabeledGraph(6)
         assert sample_gnp(6, 1, SeededSampler(1)) == complete(6)
 
     def test_edge_count_calibration(self):
@@ -118,21 +111,9 @@ class TestDeletion:
         assert mean_edge_floor(32, 0.1) == pytest.approx(0.05 * math.comb(32, 2))
 
 
-class TestAlmostRegular:
-    def test_known_cases(self):
-        assert almost_regular(complete_bipartite(3, 3), 1)
-        assert not almost_regular(star(5), 4)
-        assert almost_regular(star(5), 5)
-        assert almost_regular(empty_graph(4), Fraction(1, 2))
-
-    def test_isolated_vertex_disqualifies(self):
-        g = LabeledGraph(3, [(0, 1)])
-        assert not almost_regular(g, 100)
-
-
 class TestSignSplit:
     def test_edgeless(self):
-        sg = random_sign_split(empty_graph(5), SeededSampler(3))
+        sg = random_sign_split(LabeledGraph(5), SeededSampler(3))
         assert sg.edge_count == 0
         assert (sg.plus_count, sg.minus_count) == (3, 2)
 
@@ -151,22 +132,3 @@ class TestSignSplit:
         b = random_sign_split(cycle(8), SeededSampler(77))
         assert a == b
 
-
-class TestDisjointBlowup:
-    def test_two_copies_of_the_22_optimum(self):
-        g0 = SignedBipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0)])  # z(2,2,C4) host
-        out = disjoint_blowup(g0, Fraction(1, 2), Fraction(1, 2), 4, 4)
-        assert (out.plus_count, out.minus_count, out.edge_count) == (4, 4, 6)
-        assert is_free(out, signed_cycle(4))
-        assert out.edge_count <= 9  # z(4,4, signed C4)
-
-    def test_q_one_is_identity(self):
-        g0 = signed_cycle(4)
-        assert disjoint_blowup(g0, 1, 1, 2, 2) == g0
-
-    def test_part_size_guards(self):
-        g0 = signed_cycle(4)
-        with pytest.raises(PartSizeMismatch):
-            disjoint_blowup(g0, Fraction(1, 3), Fraction(1, 2), 4, 4)
-        with pytest.raises(PartSizeMismatch):
-            disjoint_blowup(g0, Fraction(1, 2), Fraction(1, 2), 6, 4)

@@ -15,10 +15,9 @@ from edgeglue.embed import (
     count_embeddings,
     enumerate_copies,
     enumerate_embeddings,
-    enumerate_extensions,
     is_free,
 )
-from edgeglue.errors import InvalidPartialMap, InvalidRootedPattern, InvariantViolation
+from edgeglue.errors import InvalidRootedPattern, InvariantViolation, SignMismatch
 from edgeglue.gluing import RootedPattern, edge_rooted
 from edgeglue.graphs import (
     LabeledGraph,
@@ -64,6 +63,16 @@ class TestEnumerate:
         for emb in embs:
             assert all(emb.map[p] < 3 for p in range(2))  # + stays in +
             assert all(emb.map[2 + q] >= 3 for q in range(2))
+
+    @pytest.mark.parametrize(
+        "h, g", [(signed_cycle(4), complete(4)), (cycle(4), signed_complete_bipartite(2, 2))]
+    )
+    def test_signed_with_unsigned_is_a_sign_mismatch(self, h, g):
+        for call in (lambda: next(enumerate_embeddings(h, g)), lambda: count_embeddings(h, g),
+                     lambda: next(enumerate_copies(h, g)), lambda: count_copies(h, g),
+                     lambda: is_free(g, h)):
+            with pytest.raises(SignMismatch):
+                call()
 
     def test_matches_naive_oracle_on_random_pairs(self):
         rng = np.random.default_rng(7)
@@ -196,16 +205,18 @@ class TestEnumerateCopies:
 
 
 class TestExtensions:
+    """Edge-pinned streams, as the family builder draws them: _backtrack
+    with the images of the root edge's ends fixed."""
+
     def test_edge_of_c4_onto_k22_edge(self):
         p = edge_rooted(cycle(4), (0, 1))
         host = complete_bipartite(2, 2)
         # with both endpoints pinned, the remaining two vertices are forced
-        exts = list(enumerate_extensions({0: 0, 1: 2}, p, host))
-        assert len(exts) == 1
-        assert exts[0].map == (0, 2, 1, 3)
+        exts = stream(p.pattern, host, {0: 0, 1: 2})
+        assert exts == [(0, 2, 1, 3)]
         # both orientations of the root edge onto the host edge together
         # account for the two labeled placements
-        flipped = list(enumerate_extensions({0: 2, 1: 0}, p, host))
+        flipped = stream(p.pattern, host, {0: 2, 1: 0})
         assert len(exts) + len(flipped) == 2
 
     def test_degenerate_full_root_set_rejected(self):
@@ -215,17 +226,7 @@ class TestExtensions:
     def test_isolated_host_image_gives_empty_stream(self):
         p = edge_rooted(cycle(4), (0, 1))
         host = LabeledGraph(5, [(0, 1)])  # vertices 2..4 isolated
-        assert list(enumerate_extensions({0: 0, 1: 1}, p, host)) == []
-
-    def test_invalid_psi_rejected(self):
-        p = edge_rooted(cycle(4), (0, 1))
-        host = complete_bipartite(2, 2)
-        with pytest.raises(InvalidPartialMap):
-            list(enumerate_extensions({0: 0, 1: 0}, p, host))  # not injective
-        with pytest.raises(InvalidPartialMap):
-            list(enumerate_extensions({0: 0, 1: 1}, p, host))  # F-edge broken
-        with pytest.raises(InvalidPartialMap):
-            list(enumerate_extensions({0: 0}, p, host))  # wrong domain
+        assert stream(p.pattern, host, {0: 0, 1: 1}) == []
 
     def test_extensions_partition_the_embeddings(self):
         p = edge_rooted(cycle(4), (0, 1))
@@ -234,7 +235,7 @@ class TestExtensions:
         for x in range(host.vertex_count):
             for y in range(host.vertex_count):
                 if x != y and host.has_edge(x, y):
-                    total += sum(1 for _ in enumerate_extensions({0: x, 1: y}, p, host))
+                    total += len(stream(p.pattern, host, {0: x, 1: y}))
         assert total == count_embeddings(cycle(4), host)
 
 
@@ -331,8 +332,7 @@ class TestBacktrackStream:
             p = edge_rooted(h, e)
             for x, y in host.sorted_edges:
                 for psi in ({e[0]: x, e[1]: y}, {e[0]: y, e[1]: x}):
-                    maps = [emb.map for emb in enumerate_extensions(psi, p, host)]
-                    assert maps == permitted_maps(h, host, psi)
+                    assert stream(p.pattern, host, psi) == permitted_maps(h, host, psi)
 
     def test_copies_under_conditions(self):
         rng = np.random.default_rng(29)

@@ -22,6 +22,7 @@ from edgeglue.errors import (
     EmptyForbiddenSet,
     InfeasibleInput,
     InvariantViolation,
+    SignMismatch,
     SizeExceeded,
     VertexNotInGraph,
 )
@@ -162,6 +163,33 @@ class TestExactZarankiewicz:
             exact_zarankiewicz(6, 5, signed_cycle(4), method="oracle")
         with pytest.raises(SizeExceeded):
             exact_zarankiewicz(9, 8, signed_cycle(4))
+
+
+class TestMixedSigns:
+    """ex takes unsigned patterns and z a signed one; the other type is
+    refused with SignMismatch before any copy mask is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_masks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("copy masks built for a refused query")
+
+        monkeypatch.setattr(extremal, "_instance", refuse)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_turan_refuses_a_signed_pattern(self, n):
+        # n = 3: the pattern fits nowhere, so the query used to return 3
+        with pytest.raises(SignMismatch):
+            exact_turan(n, [signed_cycle(4)])
+
+    def test_turan_refuses_a_family_with_a_signed_member(self):
+        with pytest.raises(SignMismatch):
+            exact_turan(5, [cycle(4), signed_cycle(4)])
+
+    @pytest.mark.parametrize("method", ["oracle", "branch-and-bound"])
+    def test_zarankiewicz_refuses_an_unsigned_pattern(self, method):
+        with pytest.raises(SignMismatch):
+            exact_zarankiewicz(3, 3, cycle(4), method=method)
 
 
 def scan_max_free(nbits, masks):

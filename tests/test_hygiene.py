@@ -19,14 +19,7 @@ USER_CODE = MODULES + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "de
 
 # Public names that nothing in USER_CODE refers to, each with why it stays.
 UNREACHED_KEPT = {
-    "GoodnessParams": "exported: the (alpha, A or C, eta or beta) supersaturation parameters",
-    "es_beta": "exported: the paper's beta for s glued copies, checked in test_bounds",
-    "cleaning_constant": "exported: the cleaning threshold's analytic constant, for reports",
-    "almost_regular": "exported: the paper's almost-regularity test Delta <= K delta",
-    "disjoint_blowup": "exported: the paper's packing of disjoint copies into an (m, n) host",
-    "enumerate_extensions": "exported: the extensions of one rooted psi, the families' unit",
-    "empty_graph": "exported constructor beside complete, cycle and path",
-    "rough_count_check": "exported: the paper's rough copy-count floor (K/2)^e(H) z",
+    "rough_count_check": "the paper's rough copy-count floor (K/2)^e(H) z; test_criterion_07_rough_count checks it",
 }
 
 

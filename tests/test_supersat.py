@@ -19,7 +19,6 @@ from edgeglue.graphs import (
     SignedBipartiteGraph,
     complete_bipartite,
     cycle,
-    empty_graph,
     signed_complete_bipartite,
     signed_cycle,
     signed_star,
@@ -43,7 +42,7 @@ UNCAPPED = FamilyConstraints()
 
 class TestBuilder:
     def test_empty_host_gives_empty_family(self):
-        fam = build_balanced_family(empty_graph(6), C4_ROOTED, UNCAPPED)
+        fam = build_balanced_family(LabeledGraph(6), C4_ROOTED, UNCAPPED)
         assert fam.size == 0
 
     def test_uncapped_k33_recruits_all_embeddings(self):
@@ -125,7 +124,7 @@ class TestVerify:
         assert report.edge_violations[0][1] == 4
 
     def test_empty_family_with_target(self):
-        fam = build_balanced_family(empty_graph(4), C4_ROOTED, UNCAPPED)
+        fam = build_balanced_family(LabeledGraph(4), C4_ROOTED, UNCAPPED)
         report = verify_family(fam, UNCAPPED)
         assert report.violation_count == 0
         assert report.size == 0
