@@ -22,7 +22,6 @@ from .canon import (
     automorphism_count,
     canonical_form,
     decode_canonical,
-    signed_automorphism_count,
 )
 from .constructions import (
     SeededSampler,

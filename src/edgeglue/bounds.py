@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Union
 
 from .errors import InfeasibleInput, PreconditionViolated, TooFewEdges
 from .gluing import RootedPattern
@@ -44,14 +43,9 @@ class PatternStats:
         )
 
 
-def feasibility_check(s: Union[PatternStats, LabeledGraph], alpha) -> bool:
+def feasibility_check(s: PatternStats, alpha) -> bool:
     """(v(F) - 1) + (1 - e(F)) (1 - alpha) >= 1, exact."""
-    alpha = Fraction(alpha)
-    if isinstance(s, LabeledGraph):
-        vF, eF = s.vertex_count, s.edge_count
-    else:
-        vF, eF = s.ell, s.eF
-    return (vF - 1) + (1 - eF) * (1 - alpha) >= 1
+    return (s.ell - 1) + (1 - s.eF) * (1 - Fraction(alpha)) >= 1
 
 
 def es_exponent_forest(alpha, s: PatternStats) -> Fraction:

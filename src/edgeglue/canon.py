@@ -15,10 +15,8 @@ subtree already explored, so the set of leaf certificates is unchanged.  A
 subtree that reaches a leaf equal to the first leaf is abandoned at once.
 The same tree gives |Aut| by the orbit-stabilizer theorem: the product, over
 the nodes of the first path, of the orbit of the child taken there, times
-the product of |cell|! at the first leaf.
-
-For graphs with at most 8 vertices exhaustive-permutation versions are
-available as independent oracles (used by the tests).
+the product of |cell|! at the first leaf.  The tests check both results
+against exhaustive-permutation oracles on graphs of at most 8 vertices.
 
 The search keeps a leaf's certificate as one int: the graph6 adjacency bits
 of the relabeled graph, first bit most significant.  The certificate of an
@@ -40,6 +38,7 @@ from .graphs import (
     decode_graph6,
     decode_sb,
     graph6_from_bits,
+    sb_from_bits,
 )
 
 # within the 62 vertices of short graph6
@@ -235,10 +234,8 @@ def canonical_form(g: LabeledGraph | SignedBipartiteGraph) -> CanonicalLabel:
         # splits: + vertex p and - vertex q are flat vertices p and m + q
         m, n = g.plus_count, g.minus_count
         top = (m + n) * (m + n - 1) // 2 - 1
-        bits = "".join(
-            "01"[cert >> top - (m + q) * (m + q - 1) // 2 - p & 1] for p in range(m) for q in range(n)
-        )
-        return CanonicalLabel(f"sb:{m}:{n}:{bits}".encode())
+        bits = (cert >> top - (m + q) * (m + q - 1) // 2 - p & 1 for p in range(m) for q in range(n))
+        return CanonicalLabel(sb_from_bits(m, n, bits).encode())
     cert, _ = _search(g, [0] * g.vertex_count)
     return CanonicalLabel(b"g6:" + graph6_from_bits(g.vertex_count, cert).encode())
 
@@ -253,14 +250,9 @@ def decode_canonical(label: CanonicalLabel) -> LabeledGraph | SignedBipartiteGra
     raise ValueError("unknown certificate format")
 
 
-def automorphism_count(h: LabeledGraph) -> int:
-    """|Aut(h)|."""
+def automorphism_count(h: LabeledGraph | SignedBipartiteGraph) -> int:
+    """|Aut(h)|; for a signed h, the automorphisms fixing each side setwise."""
     _check_size(h)
+    if isinstance(h, SignedBipartiteGraph):
+        return _search(h.as_unsigned(), h.colors)[1]
     return _search(h, [0] * h.vertex_count)[1]
-
-
-def signed_automorphism_count(h: SignedBipartiteGraph) -> int:
-    """Automorphisms fixing the + and - sides setwise."""
-    _check_size(h)
-    return _search(h.as_unsigned(), h.colors)[1]
-

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .canon import automorphism_count, signed_automorphism_count
+from .canon import automorphism_count
 from .errors import InvariantViolation, SignMismatch, SizeExceeded
 from .graphs import LabeledGraph, SignedBipartiteGraph
 
@@ -275,10 +275,7 @@ def count_copies(h, g) -> int:
     The orbit sizes behind its conditions must multiply to the |Aut(h)| of
     the canonical search, else InvariantViolation.
     """
-    if isinstance(h, SignedBipartiteGraph):
-        aut = signed_automorphism_count(h)
-    else:
-        aut = automorphism_count(h)
+    aut = automorphism_count(h)
     h, g, pc, hc = _flatten(h, g)
     conditions, order = _symmetry_conditions(h, pc)
     if order != aut:

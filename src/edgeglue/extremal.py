@@ -617,21 +617,15 @@ def bipartition(g: LabeledGraph) -> Optional[tuple[list[int], list[int]]]:
     return plus, minus
 
 
-def sign_graph(g: LabeledGraph, plus_side=None) -> SignedBipartiteGraph:
-    """Give a bipartite graph a signing (default: canonical 2-coloring)."""
-    if plus_side is None:
-        parts = bipartition(g)
-        if parts is None:
-            raise InfeasibleInput("graph is not bipartite")
-        plus, minus = parts
-    else:
-        plus = sorted({g.check_vertex(v) for v in plus_side})
-        minus = [v for v in range(g.vertex_count) if v not in set(plus)]
+def sign_graph(g: LabeledGraph) -> SignedBipartiteGraph:
+    """Sign a bipartite graph by its 2-coloring that puts the least vertex
+    of each component on the + side."""
+    parts = bipartition(g)
+    if parts is None:
+        raise InfeasibleInput("graph is not bipartite")
+    plus, minus = parts
     flat = g.relabel({v: i for i, v in enumerate(plus + minus)})
-    try:
-        return SignedBipartiteGraph.from_flat(len(plus), flat)
-    except ValueError as exc:
-        raise InfeasibleInput("declared + side is not one side of a bipartition") from exc
+    return SignedBipartiteGraph.from_flat(len(plus), flat)
 
 
 def ratio_report(h: LabeledGraph, sizes, method: str = "branch-and-bound") -> list[RatioRow]:

@@ -17,7 +17,6 @@ isomorphism class of orientations, and the lexicographically first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice, product
 from typing import Optional
@@ -29,10 +28,9 @@ from .errors import (
     InvalidRootedPattern,
     NotATree,
     OddCycleLength,
-    ParseError,
     SignMismatch,
 )
-from .graphs import LabeledGraph, SignedBipartiteGraph, component_roots, parse_graph
+from .graphs import LabeledGraph, SignedBipartiteGraph, component_roots
 
 
 @dataclass(frozen=True)
@@ -111,28 +109,6 @@ class GluingSpec:
             raise SignMismatch("parts must be all signed or all unsigned")
         for g, e in parts:
             g.check_edge(e)
-
-    @staticmethod
-    def from_json(text: str) -> "GluingSpec":
-        try:
-            obj = json.loads(text)
-            mode = obj.get("mode", "unsigned-family")
-            if mode not in ("unsigned-family", "signed-unique"):
-                raise ValueError(f"unknown mode {mode!r}")
-            parts = []
-            for item in obj["parts"]:
-                if mode == "signed-unique":
-                    g = SignedBipartiteGraph.from_json(json.dumps(item["graph"]))
-                else:
-                    g = parse_graph(
-                        item["graph"]
-                        if isinstance(item["graph"], str)
-                        else json.dumps(item["graph"])
-                    )
-                parts.append((g, tuple(item["edge"])))
-            return GluingSpec(tuple(parts))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad gluing spec: {exc}") from exc
 
 
 def _identify(shared: int, parts) -> tuple[LabeledGraph, list[list[int]]]:

@@ -22,6 +22,13 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 )
 
 
+def _check_ints(values) -> None:
+    """TypeError unless every value is an int: JSON's 1.0 and true are not."""
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not an integer")
+
+
 def _normalize_edge(e) -> tuple[int, int]:
     a, b = e
     return (a, b) if a < b else (b, a)
@@ -109,25 +116,13 @@ class LabeledGraph:
         """Apply vertex permutation: new index of v is perm[v]."""
         return LabeledGraph(self.vertex_count, [(perm[a], perm[b]) for a, b in self.edges])
 
-    def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        seen = 1
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u in self.neighbors(v):
-                if not seen >> u & 1:
-                    seen |= 1 << u
-                    frontier.append(u)
-        return seen.bit_count() == self.vertex_count
-
     def is_forest(self) -> bool:
         components = len(set(component_roots(self.vertex_count, self.edges)))
         return components == self.vertex_count - self.edge_count
 
     def is_tree(self) -> bool:
-        return self.is_connected() and self.edge_count == self.vertex_count - 1
+        # a forest with v - 1 edges has one component
+        return self.edge_count == self.vertex_count - 1 and self.is_forest()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -139,7 +134,9 @@ class LabeledGraph:
     def from_json(text: str) -> "LabeledGraph":
         try:
             obj = json.loads(text)
-            return LabeledGraph(obj["v"], [tuple(e) for e in obj["edges"]])
+            edges = [tuple(e) for e in obj["edges"]]
+            _check_ints([obj["v"], *(v for e in edges for v in e)])
+            return LabeledGraph(obj["v"], edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad JSON graph: {exc}") from exc
 
@@ -152,9 +149,9 @@ class SignedBipartiteGraph:
     """Bipartite graph with fixed + and - sides.
 
     Edges join a +-indexed vertex to a --indexed vertex; the two index
-    spaces are independent (both 0-based).  This class is the only code that
-    knows the flat layout (+ vertices 0..m-1, then - vertices m..m+n-1) and
-    the ``sb:m:n:bits`` encoding; everything else goes through its helpers.
+    spaces are independent (both 0-based).  The flat layout of `as_unsigned`
+    puts + vertex p at p and - vertex q at m + q.  The ``sb:m:n:bits`` text
+    is written only by `sb_from_bits` and read only by `decode_sb`.
     """
 
     plus_count: int
@@ -236,7 +233,9 @@ class SignedBipartiteGraph:
     def from_json(text: str) -> "SignedBipartiteGraph":
         try:
             obj = json.loads(text)
-            return SignedBipartiteGraph(obj["plus"], obj["minus"], [tuple(e) for e in obj["edges"]])
+            edges = [tuple(e) for e in obj["edges"]]
+            _check_ints([obj["plus"], obj["minus"], *(v for e in edges for v in e)])
+            return SignedBipartiteGraph(obj["plus"], obj["minus"], edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad JSON signed graph: {exc}") from exc
 
@@ -391,8 +390,13 @@ def decode_graph6(text: str) -> LabeledGraph:
 def encode_sb(g: SignedBipartiteGraph) -> str:
     """``sb:m:n:bits`` with bit p*n+q set iff (p, q) is an edge."""
     m, n = g.plus_count, g.minus_count
-    bits = "".join("1" if (p, q) in g.edges else "0" for p in range(m) for q in range(n))
-    return f"sb:{m}:{n}:{bits}"
+    return sb_from_bits(m, n, ((p, q) in g.edges for p in range(m) for q in range(n)))
+
+
+def sb_from_bits(m: int, n: int, bits) -> str:
+    """The ``sb:m:n:bits`` text of the m x n signed graph whose edge bits,
+    (p, q) at position p*n+q, are the 0s and 1s (or bools) `bits` yields."""
+    return f"sb:{m}:{n}:" + "".join("01"[b] for b in bits)
 
 
 def decode_sb(text: str) -> SignedBipartiteGraph:

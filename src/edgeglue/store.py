@@ -137,25 +137,14 @@ def _indexed(path) -> tuple[dict, Optional[ExtremalRecord]]:
     return records, tail
 
 
-def load_records(
-    path: str,
-    kind: Optional[str] = None,
-    size=None,
-    forbidden=None,
-) -> list[ExtremalRecord]:
-    """All records matching the query, earliest first; duplicates dropped."""
+def load_records(path: str, kind: Optional[str] = None) -> list[ExtremalRecord]:
+    """All records, or those of one kind, earliest first; duplicates dropped."""
     records, tail = _indexed(path)
     out = list(records.values())
     if tail is not None and tail.key() not in records:
         out.append(tail)
     if kind is not None:
         out = [r for r in out if r.kind == kind]
-    if size is not None:
-        size = tuple(size) if isinstance(size, (tuple, list)) else (size,)
-        out = [r for r in out if r.size == size]
-    if forbidden is not None:
-        forbidden = tuple(sorted(forbidden))
-        out = [r for r in out if r.forbidden == forbidden]
     return out
 
 

@@ -37,7 +37,7 @@ from typing import Optional, Union
 from .embed import Embedding, _backtrack, count_copies
 from .errors import EmptyCandidateSet, InvalidRootedPattern, ParseError, PreconditionViolated
 from .gluing import RootedPattern, _glue_oriented, _signed_glue
-from .graphs import LabeledGraph, SignedBipartiteGraph, decode_graph6, encode_graph6
+from .graphs import LabeledGraph, SignedBipartiteGraph, _check_ints, decode_graph6, encode_graph6
 from .constructions import SeededSampler
 
 
@@ -99,12 +99,11 @@ class BalancedFamily:
         try:
             host = decode_graph6(payload["host"])
             pattern = decode_graph6(payload["pattern"])
-            p = RootedPattern(
-                pattern,
-                tuple(payload["roots"]),
-                frozenset(tuple(e) for e in payload["root_edges"]),
-                tuple(payload["distinguished_edge"]),
-            )
+            roots = tuple(payload["roots"])
+            root_edges = [tuple(e) for e in payload["root_edges"]]
+            marked = tuple(payload["distinguished_edge"])
+            _check_ints([*roots, *marked, *(v for e in root_edges for v in e)])
+            p = RootedPattern(pattern, roots, frozenset(root_edges), marked)
             members = []
             for m in payload["members"]:
                 if not (isinstance(m, list) and all(type(v) is int for v in m)):

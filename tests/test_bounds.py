@@ -58,13 +58,16 @@ class TestForestExponent:
 
 class TestFeasibility:
     def test_edge_always_feasible(self):
-        k2 = path(2)
         for alpha in (Fraction(0), Fraction(1, 2), Fraction(9, 10)):
-            assert feasibility_check(k2, alpha)
+            assert feasibility_check(C4_EDGE, alpha)
 
     def test_c4_threshold(self):
-        assert feasibility_check(cycle(4), Fraction(1, 2))
-        assert not feasibility_check(cycle(4), Fraction(0))
+        # F = C4 (4 vertices, 4 edges) inside H on 6 vertices and 7 edges: alpha >= 1/3
+        c4_root = PatternStats(h=6, eH=7, ell=4, eF=4)
+        assert feasibility_check(c4_root, Fraction(1, 2))
+        assert feasibility_check(c4_root, Fraction(1, 3))
+        assert not feasibility_check(c4_root, Fraction(1, 3) - Fraction(1, 1000))
+        assert not feasibility_check(c4_root, Fraction(0))
 
 
 class TestCleaningThreshold:

@@ -117,6 +117,14 @@ class TestExitCodes:
             (("cache", "--store", "MALFORMED"), "CorruptStore"),
             (("ex", "--n", "4", "--forbid", "c4", "--store", "MALFORMED"), "CorruptStore"),
             (("cache", "--store", "NONUTF8"), "CorruptStore"),
+            # a JSON number that is not an int, or a JSON true, where a graph needs an int
+            (("ex", "--n", "4", "--forbid", '{"v":2.5,"edges":[[0,1]]}'), "ParseError"),
+            (("count", "--pattern", "c4", "--host", '{"v":3,"edges":[[0,1.0]]}'), "ParseError"),
+            (("count", "--pattern", "c4", "--host", '{"v":true,"edges":[]}'), "ParseError"),
+            (("zex", "--m", "2", "--n", "2", "--pattern", '{"plus":1.5,"minus":1,"edges":[[0,0]]}'),
+             "ParseError"),
+            (("zex", "--m", "2", "--n", "2", "--pattern", '{"plus":1,"minus":1,"edges":[[0,0.0]]}'),
+             "ParseError"),
         ],
     )
     def test_bad_input_is_exit_1_without_traceback(self, capsys, tmp_path, argv, error):
@@ -127,9 +135,10 @@ class TestExitCodes:
         files = {"MISSING": "missing.json", "NOHOST": "nohost.json", "LIST": "list.json", "DIR": "",
                  "MISSING/x": "missing/x", "MALFORMED": "malformed.jsonl", "NONUTF8": "nonutf8.jsonl"}
         argv = [str(tmp_path / files[a]) if a in files else a for a in argv]
-        code, _, err = run(capsys, *argv)
-        assert code == 1
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
         assert json.loads(err)["error"] == error
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -256,6 +265,27 @@ class TestSeededCommands:
         code, _, err = run(capsys, "verify", "--family", str(fam_file))
         assert code == 1
         assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("roots", [0, 1.0]),
+            ("roots", [0, True]),
+            ("root_edges", [[0, 1.0]]),
+            ("distinguished_edge", [0, 1.0]),
+        ],
+    )
+    def test_verify_rejects_a_pattern_vertex_that_is_not_an_int(
+        self, capsys, tmp_path, field, value
+    ):
+        family = self._k33_family(capsys)
+        family[field] = value
+        fam_file = tmp_path / "family.json"
+        fam_file.write_text(json.dumps(family))
+        code, out, err = run(capsys, "verify", "--family", str(fam_file))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "ParseError"
+        assert "Traceback" not in err
 
 
 class TestCache:

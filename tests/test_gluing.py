@@ -1,8 +1,6 @@
 """Gluing constructions: edge gluing families, forest gluing, vertex gluing,
 pendant trees, signed gluing, and trees of cycles."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,18 +103,8 @@ class TestGlueAlongEdge:
         certs = [canonical_form(g) for g in fam]
         assert certs == sorted(certs)
 
-    def test_multi_part_family_from_json(self):
-        spec = GluingSpec.from_json(
-            json.dumps(
-                {
-                    "parts": [
-                        {"graph": "c4", "edge": [0, 1]},
-                        {"graph": "c4", "edge": [0, 1]},
-                        {"graph": "p3", "edge": [0, 1]},
-                    ]
-                }
-            )
-        )
+    def test_multi_part_family(self):
+        spec = GluingSpec(((cycle(4), (0, 1)), (cycle(4), (0, 1)), (path(3), (0, 1))))
         fam = glue_family(spec)
         for g in fam:
             assert g.vertex_count == 2 + 2 + 2 + 1

@@ -95,8 +95,10 @@ class TestLabeledGraph:
         assert path(4).is_tree()
         assert not cycle(4).is_forest()
         assert LabeledGraph(4, [(0, 1), (2, 3)]).is_forest()
-        assert not LabeledGraph(4, [(0, 1), (2, 3)]).is_connected()
-        assert LabeledGraph(0).is_connected()
+        assert not LabeledGraph(4, [(0, 1), (2, 3)]).is_tree()  # a forest, not connected
+        assert not LabeledGraph(4, [(0, 1), (1, 2), (0, 2)]).is_tree()  # v - 1 edges, a cycle
+        assert not LabeledGraph(0).is_tree()
+        assert LabeledGraph(1).is_tree()
 
     def test_json_round_trip(self):
         g = cycle(5)

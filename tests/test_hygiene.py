@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every public name of the package is reached from outside the tests.
+and every public name, method and property of the package is reached from
+outside the tests.
 
-`__init__.py` is left out of both scans: it imports to re-export.  An
+`__init__.py` is left out of every scan: it imports to re-export.  An
 import line marked `# noqa: F401` is kept on purpose (for instance so a test
 can patch the name in that module) and is not reported.
 """
@@ -76,16 +77,51 @@ def public_names(source: str) -> list[str]:
     return [name for name in out if not name.startswith("_")]
 
 
-def referenced_names(source: str) -> set[str]:
-    """Every name source reads, bare or as an attribute.  A local of the same
-    spelling counts too, so the scan can miss a dead name, never invent one."""
-    used = set()
+def name_reads(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every name source reads, bare or as an attribute."""
+    reads = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
+            reads.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    return used
+            reads.append((node.attr, node.lineno))
+    return reads
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name source reads.  A local of the same spelling counts too, so
+    the scan can miss a dead name, never invent one."""
+    return {name for name, _ in name_reads(source)}
+
+
+def public_methods(source: str) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each method or property without a
+    leading underscore in the module-level classes of source."""
+    return [
+        (f.name, f.lineno, f.end_lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+    ]
+
+
+def unreached_methods(sources: dict, scanned) -> list[str]:
+    """The public methods of the files named in `scanned`, as file:method,
+    whose name no file of `sources` (path -> text) reads outside the
+    method's own def.  Methods of two classes that share a name count as
+    one, so again the scan can only miss."""
+    reads = {path: name_reads(text) for path, text in sources.items()}
+    out = []
+    for path in scanned:
+        for name, first, last in public_methods(sources[path]):
+            if not any(
+                n == name and not (where == path and first <= line <= last)
+                for where, lines in reads.items()
+                for n, line in lines
+            ):
+                out.append(f"{path}:{name}")
+    return out
 
 
 def test_every_public_name_is_reached_or_kept_for_a_reason():
@@ -93,6 +129,31 @@ def test_every_public_name_is_reached_or_kept_for_a_reason():
     defined = [n for p in MODULES for n in public_names(p.read_text(encoding="utf-8"))]
     unreached = sorted(n for n in defined if n not in used)
     assert unreached == sorted(UNREACHED_KEPT)
+
+
+def test_every_public_method_is_reached():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in USER_CODE}
+    assert unreached_methods(sources, [str(p.relative_to(ROOT)) for p in MODULES]) == []
+
+
+def test_method_scan_sees_unread_methods():
+    source = (
+        "class Shape:\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return 2\n"
+        "    def grow(self, k):\n"
+        "        return self.grow(k - 1) if k else self.width\n"
+        "    def _hidden(self):\n"
+        "        pass\n"
+        "def area(s):\n"
+        "    return s.width\n"
+    )
+    assert public_methods(source) == [("width", 3, 4), ("grow", 5, 6)]
+    # grow reads only itself; a read in another file would reach it
+    assert unreached_methods({"shape.py": source}, ["shape.py"]) == ["shape.py:grow"]
+    use = {"shape.py": source, "use.py": "Shape().grow(1)\n"}
+    assert unreached_methods(use, ["shape.py"]) == []
 
 
 def test_name_scan_sees_defined_and_read_names():
