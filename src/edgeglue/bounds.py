@@ -153,7 +153,8 @@ def deletion_exponent(f: LabeledGraph) -> Fraction:
 def binom_ratio_bounds(n: int, q, s: int) -> tuple[Fraction, Fraction, Fraction]:
     """(lower, exact, upper) for C(n-s, qn-s) / C(n, qn):
 
-    q (q/2)^{s-1} <= ratio <= q^s, requiring qn integral and qn >= 2(s-1).
+    q (q/2)^{s-1} <= ratio <= q^s, requiring qn integral, s >= 1 and
+    qn >= 2(s-1).
     """
     q = Fraction(q)
     if q > 1:
@@ -164,8 +165,8 @@ def binom_ratio_bounds(n: int, q, s: int) -> tuple[Fraction, Fraction, Fraction]
     qn = int(qn)
     if qn < 2 * (s - 1):
         raise PreconditionViolated("need q*n >= 2(s-1)")
-    if s < 0 or qn < s or n < s:
-        raise PreconditionViolated("need 0 <= s <= q*n")
+    if s < 1 or qn < s or n < s:
+        raise PreconditionViolated("need 1 <= s <= q*n")
     exact = Fraction(comb(n - s, qn - s), comb(n, qn))
     lower = q * (q / 2) ** (s - 1)
     upper = q**s

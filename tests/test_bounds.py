@@ -145,3 +145,7 @@ class TestBinomSandwich:
             binom_ratio_bounds(4, Fraction(1, 2), 3)  # qn < 2(s-1)
         with pytest.raises(PreconditionViolated):
             binom_ratio_bounds(4, Fraction(3, 2), 1)  # q > 1
+        with pytest.raises(PreconditionViolated):
+            binom_ratio_bounds(4, Fraction(1, 2), 0)  # s = 0: the lower bound 2 is above the ratio 1
+        with pytest.raises(PreconditionViolated):
+            binom_ratio_bounds(4, Fraction(0), 0)  # s = 0, q = 0: the lower bound divides by 0
