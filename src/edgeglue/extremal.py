@@ -2,11 +2,10 @@
 
 Hosts are edge bitmasks over the complete (or complete signed bipartite)
 host, and forbidden patterns become precomputed copy masks: a host is free
-iff it contains no copy mask as a submask.  The masks are enumerated in a
-small host, one just large enough for every pattern, once per process (see
-`_small_table`), and every host's masks are that table moved onto each of
-its vertex subsets of that size (see `_instance`).  Two independent engines
-share this representation:
+iff it contains no copy mask as a submask.  The masks are enumerated once
+in a small host, one just large enough for every pattern, and moved onto
+each of the host's vertex subsets of that size (see `_instance`).  Two
+independent engines share this representation:
 
 * an exhaustive oracle, a numpy sieve that keeps 64 hosts to a uint64
   word and closes the copy masks upward over all bitmasks with one pass
@@ -23,8 +22,9 @@ share this representation:
   gives floor(n ex(n-1) / (n-2)) for K_n and the smaller of
   floor(m z(m-1, n) / (m-1)) and floor(n z(m, n-1) / (n-1)) for K_{m,n};
   the search stops once the incumbent reaches it.  The X come from the
-  same search on the smaller hosts, solved once per call, each on the
-  instance `_instance` builds for it.  When the patterns are their own side
+  same search on the smaller hosts, solved once per call; their copy masks
+  are the masks that avoid the deleted vertex, which keep their bits when
+  that vertex is the last + vertex.  When the patterns are their own side
   swap, z(a, b) = z(b, a), and one of the two is solved.
 
   Lex-leader symmetry breaking also cuts every host that swapping two
@@ -41,7 +41,6 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -300,32 +299,17 @@ def _host(size: tuple[int, ...]):
     return host, (host.as_unsigned() if len(size) == 2 else host).sorted_edges
 
 
-@cache
-def _small_table(small: tuple[int, ...], patterns: tuple) -> tuple:
-    """The small host's slots, the slot bits of each minimal copy mask
-    there, and whether K_{P,P}'s side swap maps the masks onto themselves
-    (see `_instance`).  Built once per process per small size and tuple of
-    fitting patterns; graphs are frozen values, so equal patterns share it.
-    """
-    small_host, small_slots = _host(small)
-    table = _copy_masks(small_host, small_slots, patterns)
-    local = tuple(tuple(k for k in range(c.bit_length()) if c >> k & 1) for c in table)
-    p = small[0]  # K_{P,P} slot p*P+q is the edge (p, q); its side swap is q*P+p
-    swap = small == (p, p) and {sum(1 << (k % p * p + k // p) for k in ks) for ks in local} == set(table)
-    return small_slots, local, swap
-
-
 def _instance(size: tuple[int, ...], patterns):
     """Edge slots (as `_host` lays them out), minimal copy masks of the host,
     sorted by (bit count, value), and whether swapping the sides of K_{P,P}
     (below) maps its masks onto themselves.
 
-    The copies are enumerated in a small host, `_small_table`'s: K_K, where
-    K is the most vertices of a fitting pattern, or for K_{m,n} the signed
-    K_{P,Q}, where P and Q are the largest + and - sides.  Its minimal masks
-    are moved onto every K-subset of the host's vertices (every P-subset of
-    the + side times every Q-subset of the - side), the i-th vertex of the
-    small host going to the i-th of the subset; the union is the host's list.
+    The copies are enumerated once, in a small host: K_K, where K is the
+    most vertices of a fitting pattern, or for K_{m,n} the signed K_{P,Q},
+    where P and Q are the largest + and - sides.  Its minimal masks are
+    moved onto every K-subset of the host's vertices (every P-subset of the
+    + side times every Q-subset of the - side), the i-th vertex of the small
+    host going to the i-th of the subset, and the union is the host's list.
 
     Every copy lies in such a subset, since it has at most K vertices, so
     every minimal mask of the host is a minimal mask of some subset and is
@@ -354,7 +338,11 @@ def _instance(size: tuple[int, ...], patterns):
             for plus in combinations(range(m), small[0])
             for minus in combinations(range(n), small[1])
         )
-    small_slots, local, swap = _small_table(small, tuple(fitting))
+    small_host, small_slots = _host(small)
+    table = _copy_masks(small_host, small_slots, fitting)
+    local = [[k for k in range(c.bit_length()) if c >> k & 1] for c in table]
+    p = small[0]  # K_{P,P} slot p*P+q is the edge (p, q); its side swap is q*P+p
+    swap = small == (p, p) and {sum(1 << (k % p * p + k // p) for k in ks) for ks in local} == set(table)
     # slots are sorted pairs, and every image is increasing, so each small
     # slot (a, b) with a < b lands on the slot (image[a], image[b])
     at = {e: 1 << k for k, e in enumerate(slots)}
@@ -365,6 +353,36 @@ def _instance(size: tuple[int, ...], patterns):
     ordered = sorted(masks)
     ordered.sort(key=int.bit_count)
     return slots, ordered, swap
+
+
+def _delete_vertex(slots, masks, v: int):
+    """Slots and copy masks of the host without vertex v, from the host's own.
+
+    v is the last vertex of K_n, or of one side of the flattened K_{m,n}, so
+    the slots that avoid v, in order and with the vertices above v shifted
+    down, are the smaller host's slots as `_instance` lays them out.  Its
+    copies are the copies that avoid v, so its minimal copy masks are the
+    minimal masks that avoid v, moved to the new slot numbers: each set bit
+    of a mask goes to its slot's new bit.  The last + vertex of K_{m,n}
+    holds the top n slots, so there no bit moves and the masks are filtered.
+    """
+    kept = [k for k, e in enumerate(slots) if v not in e]
+    at_v = sum(1 << k for k, e in enumerate(slots) if v in e)
+    sub_slots = [(a - (a > v), b - (b > v)) for a, b in (slots[k] for k in kept)]
+    sub_masks = [c for c in masks if not c & at_v]
+    if not at_v & ((1 << len(kept)) - 1):  # v holds the top slots
+        return sub_slots, sub_masks
+    new_bit = [0] * len(slots)
+    for j, k in enumerate(kept):
+        new_bit[k] = 1 << j
+    for i, c in enumerate(sub_masks):
+        sub = 0
+        while c:
+            low = c & -c
+            sub |= new_bit[low.bit_length() - 1]
+            c ^= low
+        sub_masks[i] = sub
+    return sub_slots, sub_masks
 
 
 def _lex_orders(size, slots) -> list[list[tuple[int, int]]]:
@@ -392,17 +410,17 @@ def _lex_orders(size, slots) -> list[list[tuple[int, int]]]:
     return rows + columns
 
 
-def _bnb(size, patterns, slots, masks, memo: dict, swap: bool = False) -> tuple[int, int]:
+def _bnb(size, slots, masks, memo: dict, swap: bool = False) -> tuple[int, int]:
     """Branch-and-bound with the vertex-deletion bound (see the module notes).
 
     Each class of k vertices (all of K_n, or one side of K_{m,n}) shares one
     X, and each edge has d endpoints in the class, so summing |h - v| <= X
     over the class gives (k - d)|h| <= k X (Katona-Nemetz-Simonovits).  The
-    X are solved the same way on the smaller hosts, each on its own
-    `_instance(smaller, patterns)`; memo maps a size to its optimum.  With
-    swap, as `_instance` reports it for the top host, sizes (a, b) and
-    (b, a) have one optimum, kept under the smaller size; the memo holds
-    values only, so sharing them cannot change a witness.
+    X are solved the same way on the smaller hosts, whose instances come
+    from this one by `_delete_vertex`; memo maps a size to its optimum.
+    With swap, as `_instance` reports it, sizes (a, b) and (b, a) have one
+    optimum, kept under the smaller size; the memo holds values only, so
+    sharing them cannot change a witness.
 
     Every search runs under `_lex_orders`, which cuts the hosts that
     swapping two adjacent vertices makes lexicographically greater and so
@@ -425,8 +443,8 @@ def _bnb(size, patterns, slots, masks, memo: dict, swap: bool = False) -> tuple[
     for vertices, smaller, d in classes:
         key = min(smaller, smaller[::-1]) if swap else smaller
         if key not in memo:
-            sub_slots, sub_masks, _ = _instance(smaller, patterns)
-            memo[key] = _bnb(smaller, patterns, sub_slots, sub_masks, memo, swap)[0]
+            sub_slots, sub_masks = _delete_vertex(slots, masks, vertices[-1])
+            memo[key] = _bnb(smaller, sub_slots, sub_masks, memo, swap)[0]
         x = memo[key]
         caps += [(star[v], x) for v in vertices]
         if len(vertices) > d:
@@ -525,7 +543,7 @@ def _solve(size: tuple[int, ...], forbidden, method: str) -> ExtremalRecord:
     if method == "oracle":
         value, wmask = exhaustive_max_free(len(slots), masks)
     else:
-        value, wmask = _bnb(size, forbidden, slots, masks, {}, swap)
+        value, wmask = _bnb(size, slots, masks, {}, swap)
     w = LabeledGraph(sum(size), [e for k, e in enumerate(slots) if wmask >> k & 1])
     if len(size) == 2:
         w = SignedBipartiteGraph.from_flat(size[0], w)

@@ -104,7 +104,6 @@ def _record(path, lineno: int, raw: bytes, torn_ok: bool = False) -> Optional[Ex
         raise CorruptStore(f"{path}:{lineno}: checksum mismatch")
     try:
         rec = ExtremalRecord.from_dict(payload)
-        hash(rec.key())
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptStore(f"{path}:{lineno}: malformed record") from exc
     return rec

@@ -353,35 +353,31 @@ class TestVertexDeletionBound:
 
 
 class TestDeleteVertex:
-    """The instance of the host one vertex smaller, as `_instance` builds it,
-    is the larger instance with that vertex deleted by the reference formula:
-    the same slots and the same masks in the same order."""
+    """The instance of the host one vertex smaller, derived from the larger
+    one, is the one `_instance` builds from scratch."""
 
     @staticmethod
-    def assert_derived(size, v, patterns):
-        if len(size) == 1:
-            smaller = (size[0] - 1,)
-        else:
-            smaller = (size[0] - 1, size[1]) if v < size[0] else (size[0], size[1] - 1)
+    def assert_derived(size, smaller, v, patterns):
+        derived_slots, derived_masks = extremal._delete_vertex(*extremal._instance(size, patterns)[:2], v)
         slots, masks, _ = extremal._instance(smaller, patterns)
-        assert TestDeleteVertex.reference(*extremal._instance(size, patterns)[:2], v) == (list(slots), masks)
+        assert list(derived_slots) == list(slots)
+        assert sorted(derived_masks) == sorted(masks)
 
     @pytest.mark.parametrize("patterns", [[cycle(4)], [HSTAR], [cycle(4), complete(4)]], ids=["c4", "hstar", "c4+k4"])
     def test_turan(self, patterns):
         for n in range(1, 9):
-            self.assert_derived((n,), n - 1, patterns)
+            self.assert_derived((n,), (n - 1,), n - 1, patterns)
 
     @pytest.mark.parametrize("h", [signed_cycle(4), SIGNED_HSTAR], ids=["c4", "hstar"])
     def test_zarankiewicz(self, h):
         for m in range(1, 6):
             for n in range(1, 6):
-                self.assert_derived((m, n), m - 1, [h])
-                self.assert_derived((m, n), m + n - 1, [h])
+                self.assert_derived((m, n), (m - 1, n), m - 1, [h])
+                self.assert_derived((m, n), (m, n - 1), m + n - 1, [h])
 
     @staticmethod
     def reference(slots, masks, v):
-        """Every kept slot tested in every mask that avoids v; the kept slots
-        keep their order, with the vertices above v shifted down."""
+        """The re-pack as first written: every kept slot tested in every mask."""
         kept = [k for k, e in enumerate(slots) if v not in e]
         at_v = sum(1 << k for k, e in enumerate(slots) if v in e)
         sub_slots = [(a - (a > v), b - (b > v)) for a, b in (slots[k] for k in kept)]
@@ -419,38 +415,14 @@ class TestDeleteVertex:
     def test_matches_the_reference_formula(self):
         count = 0
         for size, patterns in self.benchmark_instances():
+            slots, masks, _ = extremal._instance(size, patterns)
             # the last vertex of K_n, or of either side of K_{m,n}
             for v in {size[0] - 1, sum(size) - 1}:
-                self.assert_derived(size, v, patterns)
+                assert extremal._delete_vertex(slots, masks, v) == self.reference(slots, masks, v)
                 count += 1
         # 6 and 21 connected graphs on 4 and 5 vertices, 15 pairs, 12 signed
         # patterns on 6 hosts with two deletions each, 6 proof deletions
         assert count == 6 * 4 + 21 * 2 + 15 * 4 + 12 * 6 * 2 + 6
-
-
-class TestSmallHostTable:
-    """`_small_table` enumerates the copies in a small host once per process
-    for each small size and tuple of fitting patterns."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_table(self):
-        extremal._small_table.cache_clear()
-        yield
-        extremal._small_table.cache_clear()
-
-    def test_equal_patterns_share_one_table(self):
-        first, second = signed_cycle(4), signed_cycle(4)
-        assert first == second and first is not second
-        with mock.patch.object(extremal, "_copy_masks", wraps=extremal._copy_masks) as spy:
-            # every sub-solve of both calls fits the same small host, (2, 2)
-            assert exact_zarankiewicz(5, 5, first).value == exact_zarankiewicz(5, 5, second).value == 12
-        assert spy.call_count == 1
-
-    def test_an_edgeless_pattern_is_refused_on_every_call(self):
-        # exceptions are not cached: the second call enumerates again and raises again
-        for _ in range(2):
-            with pytest.raises(InfeasibleInput):
-                exact_turan(4, [LabeledGraph(2)])
 
 
 class TestWitnessCheck:
@@ -513,7 +485,7 @@ class TestWitnessContract:
     def test_matches_a_scan_of_every_host(self, case):
         size, patterns = case
         slots, masks, _ = extremal._instance(size, patterns)
-        assert extremal._bnb(size, patterns, slots, masks, {}) == scan_first_optimum(len(slots), masks)
+        assert extremal._bnb(size, slots, masks, {}) == scan_first_optimum(len(slots), masks)
 
 
 # The signed patterns of the benchmark's sweep, as (plus, minus, edges).
@@ -544,8 +516,8 @@ class TestSideSwapSharing:
         for m in range(1, top + 1):
             for n in range(1, top + 1):
                 slots, masks, swap = extremal._instance((m, n), [h])
-                shared = extremal._bnb((m, n), [h], slots, masks, {}, swap)
-                assert shared == extremal._bnb((m, n), [h], slots, masks, {})
+                shared = extremal._bnb((m, n), slots, masks, {}, swap)
+                assert shared == extremal._bnb((m, n), slots, masks, {})
 
     @pytest.mark.parametrize("name", SWEEP_SIGNED)
     def test_flag_is_isomorphism_to_the_side_swap(self, name):
@@ -564,17 +536,16 @@ class TestSideSwapSharing:
         h = SignedBipartiteGraph(*SWEEP_SIGNED["k2,3"])
         slots, masks, swap = extremal._instance((4, 4), [h])
         memo = {}
-        extremal._bnb((4, 4), [h], slots, masks, memo, swap)
+        extremal._bnb((4, 4), slots, masks, memo, swap)
         assert not swap
         assert (memo[2, 3], memo[3, 2]) == (5, 6)
 
     def test_fewer_sub_solves(self):
-        patterns = [signed_cycle(4)]
-        slots, masks, swap = extremal._instance((5, 5), patterns)
+        slots, masks, swap = extremal._instance((5, 5), [signed_cycle(4)])
         calls = []
         for share in (swap, False):
-            with mock.patch.object(extremal, "_instance", wraps=extremal._instance) as spy:
-                assert extremal._bnb((5, 5), patterns, slots, masks, {}, share)[0] == 12
+            with mock.patch.object(extremal, "_delete_vertex", wraps=extremal._delete_vertex) as spy:
+                assert extremal._bnb((5, 5), slots, masks, {}, share)[0] == 12
             calls.append(spy.call_count)
         # one sub-solve per transposed pair of the 23 sizes reached below (5, 5)
         assert calls == [13, 23]
