@@ -4,8 +4,10 @@ Hosts are edge bitmasks over the complete (or complete signed bipartite)
 host, and forbidden patterns become precomputed copy masks: a host is free
 iff it contains no copy mask as a submask.  The masks are enumerated once
 in a small host, one just large enough for every pattern, and moved onto
-each of the host's vertex subsets of that size (see `_instance`).  Two
-independent engines share this representation:
+each of the host's vertex subsets of that size (see `_instance`), a column
+at a time: each small-host slot gets its host bit under every subset, and
+a mask's moved copies are the sums across its columns.  Two independent
+engines share this representation:
 
 * an exhaustive oracle, a numpy sieve that keeps 64 hosts to a uint64
   word and closes the copy masks upward over all bitmasks with one pass
@@ -42,6 +44,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .canon import CanonicalLabel, canonical_form, decode_canonical
@@ -77,9 +80,12 @@ _ORACLE_CHUNK_BITS = 22  # the oracle sieves 2^22 hosts at a time
 def _copy_masks(host, slots, patterns) -> list[int]:
     """Minimal copy masks of the patterns in host; bit k stands for slots[k].
 
-    Callers pass only the patterns that fit into the host.  Each copy is
-    enumerated once; the masks are sorted, so their order does not depend on
-    the stream's.
+    Callers pass only the patterns that fit into the host, which is
+    complete, so each has a copy.  Each copy is enumerated once, and the
+    masks are built a column at a time: one column per pattern edge holds
+    that edge's host bit under every copy, and each copy's mask is the sum
+    across the columns.  The masks are sorted, so their order does not
+    depend on the stream's.
     """
     bit = {}
     for k, (a, b) in enumerate(slots):
@@ -88,9 +94,10 @@ def _copy_masks(host, slots, patterns) -> list[int]:
     for h in patterns:
         if h.edge_count == 0:
             raise InfeasibleInput("a forbidden pattern with no edges occurs in every host")
-        for emb in enumerate_copies(h, host):
-            m = emb.map
-            masks.add(sum(bit[m[a], m[b]] for a, b in emb.pattern.edges))
+        copies = list(enumerate_copies(h, host))
+        maps = [emb.map for emb in copies]
+        columns = [list(map(bit.__getitem__, map(itemgetter(a, b), maps))) for a, b in copies[0].pattern.edges]
+        masks.update(map(sum, zip(*columns)))
     return _prune_dominated(masks)
 
 
@@ -310,6 +317,9 @@ def _instance(size: tuple[int, ...], patterns):
     moved onto every K-subset of the host's vertices (every P-subset of the
     + side times every Q-subset of the - side), the i-th vertex of the small
     host going to the i-th of the subset, and the union is the host's list.
+    The move goes a column at a time: column k holds the host bit of small
+    slot k under every subset, so a small mask's moved masks are the sums
+    across its columns, one pass over all subsets.
 
     Every copy lies in such a subset, since it has at most K vertices, so
     every minimal mask of the host is a minimal mask of some subset and is
@@ -329,27 +339,34 @@ def _instance(size: tuple[int, ...], patterns):
         return slots, [], False
     if len(size) == 1:
         small = (max(h.vertex_count for h in fitting),)
-        images = combinations(range(size[0]), small[0])
+        images = list(combinations(range(size[0]), small[0]))
     else:
         m, n = size
         small = (max(h.plus_count for h in fitting), max(h.minus_count for h in fitting))
-        images = (
-            plus + tuple(m + q for q in minus)
+        images = [
+            plus + minus
             for plus in combinations(range(m), small[0])
-            for minus in combinations(range(n), small[1])
-        )
+            for minus in combinations(range(m, m + n), small[1])
+        ]
     small_host, small_slots = _host(small)
     table = _copy_masks(small_host, small_slots, fitting)
-    local = [[k for k in range(c.bit_length()) if c >> k & 1] for c in table]
+    local = []
+    for c in table:
+        ks = []
+        while c:
+            low = c & -c
+            ks.append(low.bit_length() - 1)
+            c ^= low
+        local.append(ks)
     p = small[0]  # K_{P,P} slot p*P+q is the edge (p, q); its side swap is q*P+p
     swap = small == (p, p) and {sum(1 << (k % p * p + k // p) for k in ks) for ks in local} == set(table)
     # slots are sorted pairs, and every image is increasing, so each small
     # slot (a, b) with a < b lands on the slot (image[a], image[b])
     at = {e: 1 << k for k, e in enumerate(slots)}
+    columns = [list(map(at.__getitem__, map(itemgetter(a, b), images))) for a, b in small_slots]
     masks = set()
-    for image in images:
-        bit = [at[image[a], image[b]] for a, b in small_slots]
-        masks.update(sum(map(bit.__getitem__, ks)) for ks in local)
+    for ks in local:
+        masks.update(map(sum, zip(*map(columns.__getitem__, ks))))
     ordered = sorted(masks)
     ordered.sort(key=int.bit_count)
     return slots, ordered, swap

@@ -52,6 +52,16 @@ MIXED = {
     "k3+c4k1": [(3, ((0, 1), (1, 2), (0, 2))), UNSIGNED["c4+k1"]],
     "p3k2+k3": [(5, ((0, 1), (1, 2))), (3, ((0, 1), (1, 2), (0, 2)))],
 }
+# the four branch-and-bound instances of the benchmark's proof workload, and
+# one-edge patterns, whose masks the front end moves from a single column
+ORDERED = [
+    ("K8 c4", (8,), [UNSIGNED["c4"]]),
+    ("K7 h*", (7,), [UNSIGNED["h*"]]),
+    ("K5,5 c4", (5, 5), [SIGNED["c4"]]),
+    ("K5,5 h*", (5, 5), [SIGNED["h*"]]),
+    *((f"K{n} k2", (n,), [(2, ((0, 1),))]) for n in range(2, 7)),
+    *((f"K{m},{n} k1,1", (m, n), [(1, 1, ((0, 0),))]) for m in range(1, 5) for n in range(1, 5)),
+]
 # sha256 of the JSON list of [case name, masks] over `cases()`, as the
 # front end that enumerated every embedding produced them
 PINNED_DIGEST = "444e73bc6ff197969cb109da9e784fb6bb047612307642ef745f684a535c4254"
@@ -124,6 +134,11 @@ class TestCopyMasksAgainstReference:
             for n in range(2, 9):
                 expected = sorted(reference_masks((n,), specs), key=lambda c: (c.bit_count(), c))
                 assert front_end_masks((n,), specs) == expected, (name, n)
+
+    def test_ordered_lists_at_benchmark_sizes(self):
+        for name, size, specs in ORDERED:
+            expected = sorted(reference_masks(size, specs), key=lambda c: (c.bit_count(), c))
+            assert front_end_masks(size, specs) == expected, name
 
     def test_mask_lists_are_pinned(self):
         lists = [[name, front_end_masks(size, specs)] for name, size, specs in cases()]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from edgeglue import extremal, store
 from edgeglue.canon import canonical_form
-from edgeglue.embed import is_free
+from edgeglue.embed import enumerate_copies, is_free
 from edgeglue.errors import (
     CorruptStore,
     EmptyForbiddenSet,
@@ -350,6 +350,24 @@ class TestVertexDeletionBound:
         rec, bounded = self.solve_checked(lambda: exact_zarankiewicz(m, n, h))
         assert rec.value == exact_zarankiewicz(m, n, h, method="oracle").value
         assert bounded[-1] or rec.value == m * n
+
+
+def test_copies_are_enumerated_on_every_call(monkeypatch):
+    """The front end keeps no table across calls: a repeated query with
+    fresh pattern objects enumerates the small host's copies again."""
+    calls = []
+
+    def spy(h, g):
+        calls.append(h)
+        return enumerate_copies(h, g)
+
+    monkeypatch.setattr(extremal, "enumerate_copies", spy)
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        exact_zarankiewicz(5, 5, signed_glue(GluingSpec(((signed_cycle(4), (0, 0)),) * 2)))
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
 
 
 class TestDeleteVertex:
