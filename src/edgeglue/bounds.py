@@ -111,7 +111,7 @@ class CleaningThreshold:
 
 
 def cleaning_threshold(n: int, s: PatternStats, gamma, alpha, c=1) -> CleaningThreshold:
-    """Density threshold of the greedy family builder:
+    """Density threshold of the greedy family builder, for a constant C > 0:
 
     C * max( n^{-(h-l)/(e(H)-e(F))} gamma^{-1/(e(H)-e(F))},
              (n gamma)^{(alpha-1)/((l-1)+(1-alpha)(1-e(F)))} ).
@@ -123,6 +123,8 @@ def cleaning_threshold(n: int, s: PatternStats, gamma, alpha, c=1) -> CleaningTh
         raise PreconditionViolated("n must be at least 1")
     if not 0 < gamma <= 1:
         raise PreconditionViolated("gamma must lie in (0, 1]")
+    if c <= 0:
+        raise PreconditionViolated("C must be positive")
     if not feasibility_check(s, alpha):
         raise InfeasibleInput("feasibility inequality fails for these (F, alpha)")
     b1 = ThresholdBranch(

@@ -1,13 +1,14 @@
 """Exact Turán and Zarankiewicz numbers at desk scale.
 
-Hosts are edge bitmasks over the complete (or complete signed bipartite)
-host, and forbidden patterns become precomputed copy masks: a host is free
-iff it contains no copy mask as a submask.  The masks are enumerated once
-in a small host, one just large enough for every pattern, and moved onto
-each of the host's vertex subsets of that size (see `_instance`), a column
-at a time: each small-host slot gets its host bit under every subset, and
-a mask's moved copies are the sums across its columns.  Two independent
-engines share this representation:
+The host is described by its vertex classes, one size each: K_n is one
+class (n,), the flattened signed K_{m,n} two, (m, n), + then -.  Only the
+edge rule (`_slots`) and the graph types (`_sizes`, the small host of
+`_copy_masks`, the witness) tell ex from z; every other step reads the
+classes.  A host is an edge bitmask over the slots, and a host is free iff
+it contains no copy mask of a forbidden pattern as a submask.  The masks
+are enumerated once in a small host, the class-wise largest of the
+patterns, and moved onto each product of per-class vertex subsets of that
+size (see `_instance`).  Two independent engines share this representation:
 
 * an exhaustive oracle, a numpy sieve that keeps 64 hosts to a uint64
   word and closes the copy masks upward over all bitmasks with one pass
@@ -18,23 +19,22 @@ engines share this representation:
   undecided slots cannot beat the incumbent, and with the vertex-deletion
   bound: a free host h on the same vertices satisfies
   |h| <= X_v + deg_h(v) for every vertex v, where X_v is the optimum on the
-  host without v (ex(n-1), or z(m-1, n) / z(m, n-1) by the side of v), so
-  the subtree is cut once X_v plus the slots at v still reachable is at
-  most the incumbent.  Averaging the same inequality over the vertices
-  gives floor(n ex(n-1) / (n-2)) for K_n and the smaller of
+  host with one vertex fewer in v's class, so the subtree is cut once X_v
+  plus the slots at v still reachable is at most the incumbent.  Averaging
+  it over a class gives floor(n ex(n-1) / (n-2)) for K_n and the smaller of
   floor(m z(m-1, n) / (m-1)) and floor(n z(m, n-1) / (n-1)) for K_{m,n};
   the search stops once the incumbent reaches it.  The X come from the
   same search on the smaller hosts, solved once per call; their copy masks
-  are the masks that avoid the deleted vertex, which keep their bits when
-  that vertex is the last + vertex.  When the patterns are their own side
-  swap, z(a, b) = z(b, a), and one of the two is solved.
+  are the masks that avoid the class's last vertex.  When the patterns are
+  their own side swap, z(a, b) = z(b, a), and one of the two is solved.
 
   Lex-leader symmetry breaking also cuts every host that swapping two
-  adjacent vertices makes lexicographically greater (see `_lex_orders`).
-  The first optimum in include-first order is never cut, so the witness is
-  the one the plain search finds.
+  adjacent vertices of a class makes lexicographically greater (see
+  `_lex_orders`).  The first optimum in include-first order is never cut,
+  so the witness is the one the plain search finds.
 
-The front end checks every witness with `is_free` before it returns.
+The front end checks each query's size once, before any mask is built
+(`_check_size`), and checks every witness with `is_free` before it returns.
 """
 
 from __future__ import annotations
@@ -43,12 +43,13 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import combinations
-from operator import itemgetter
+from itertools import accumulate, combinations, product
+from math import prod
+from operator import itemgetter, le
 from typing import Optional, Sequence
 
 from .canon import CanonicalLabel, canonical_form, decode_canonical
-from .embed import enumerate_copies, is_free
+from .embed import MAX_HOST_VERTICES, enumerate_copies, is_free
 # unused here; bench/tests/test_bench.py checks that the tracer patches this
 # module-level reference
 from .embed import enumerate_embeddings  # noqa: F401
@@ -56,6 +57,7 @@ from .errors import (
     EmptyForbiddenSet,
     InfeasibleInput,
     InvariantViolation,
+    PreconditionViolated,
     SignMismatch,
     SizeExceeded,
 )
@@ -71,14 +73,15 @@ from .graphs import (
     signed_complete_bipartite,
 )
 
-# method -> the largest host it takes, by n for ex and by m*n for z; read at call time
-CAPS = {"oracle": {"n": 7, "m*n": 25}, "branch-and-bound": {"n": 10, "m*n": 64}}
+# branch-and-bound's largest host, by n or m*n, read at call time; the oracle's limit is its slots
+CAPS = {"branch-and-bound": {"n": 10, "m*n": 64}}
 _ORACLE_MAX_BITS = 28
 _ORACLE_CHUNK_BITS = 22  # the oracle sieves 2^22 hosts at a time
 
 
-def _copy_masks(host, slots, patterns) -> list[int]:
-    """Minimal copy masks of the patterns in host; bit k stands for slots[k].
+def _copy_masks(size: tuple[int, ...], patterns) -> list[int]:
+    """Minimal copy masks of the patterns in the host of this size, K_n or
+    the signed K_{m,n}; bit k stands for slot k of `_slots(size)`.
 
     Callers pass only the patterns that fit into the host, which is
     complete, so each has a copy.  Each copy is enumerated once, and the
@@ -87,8 +90,9 @@ def _copy_masks(host, slots, patterns) -> list[int]:
     across the columns.  The masks are sorted, so their order does not
     depend on the stream's.
     """
+    host = complete(*size) if len(size) == 1 else signed_complete_bipartite(*size)
     bit = {}
-    for k, (a, b) in enumerate(slots):
+    for k, (a, b) in enumerate(_slots(size)):
         bit[a, b] = bit[b, a] = 1 << k
     masks = set()
     for h in patterns:
@@ -286,70 +290,67 @@ def branch_and_bound_max_free(
 
 
 # ---------------------------------------------------------------------------
-# Front end: instances by host size, and the vertex-deletion bound
+# Front end: the host by its vertex classes, instances, and the vertex-deletion bound
 # ---------------------------------------------------------------------------
 
 
+def _classes(size: tuple[int, ...]) -> list[range]:
+    """The host's vertex classes in flat order, one per entry of size: K_n
+    is one class of n vertices, the flattened signed K_{m,n} is + then -."""
+    return [range(end - k, end) for end, k in zip(accumulate(size), size)]
+
+
+def _slots(size: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The host's edge slots, its joined pairs in lexicographic order.  The
+    edge rule: K_n joins every two vertices of its one class, K_{m,n} every
+    + vertex to every - vertex, so slot p*n+q of K_{m,n} is the edge (p, q)."""
+    classes = _classes(size)
+    return list(combinations(classes[0], 2) if len(classes) == 1 else product(*classes))
+
+
+def _sizes(g) -> tuple[int, ...]:
+    """The class sizes of a pattern or witness, as a host's size lists them."""
+    return (g.plus_count, g.minus_count) if isinstance(g, SignedBipartiteGraph) else (g.vertex_count,)
+
+
 def _fitting(size: tuple[int, ...], patterns) -> list:
-    """The patterns small enough to occur in the host of this size."""
-    if len(size) == 1:
-        return [h for h in patterns if h.vertex_count <= size[0]]
-    return [h for h in patterns if h.plus_count <= size[0] and h.minus_count <= size[1]]
-
-
-def _host(size: tuple[int, ...]):
-    """K_n for size (n,), the signed K_{m,n} for size (m, n), and its edge
-    slots: the flattened host's sorted edges, so for K_n slot k is the k-th
-    pair (i, j) in lexicographic order, and for K_{m,n} slot p*n+q is the
-    edge (p, q)."""
-    host = complete(*size) if len(size) == 1 else signed_complete_bipartite(*size)
-    return host, (host.as_unsigned() if len(size) == 2 else host).sorted_edges
+    """The patterns small enough to occur in the host of this size, class by class."""
+    return [h for h in patterns if all(map(le, _sizes(h), size))]
 
 
 def _instance(size: tuple[int, ...], patterns):
-    """Edge slots (as `_host` lays them out), minimal copy masks of the host,
+    """Edge slots (as `_slots` lays them out), minimal copy masks of the host,
     sorted by (bit count, value), and whether swapping the sides of K_{P,P}
     (below) maps its masks onto themselves.
 
-    The copies are enumerated once, in a small host: K_K, where K is the
-    most vertices of a fitting pattern, or for K_{m,n} the signed K_{P,Q},
-    where P and Q are the largest + and - sides.  Its minimal masks are
-    moved onto every K-subset of the host's vertices (every P-subset of the
-    + side times every Q-subset of the - side), the i-th vertex of the small
-    host going to the i-th of the subset, and the union is the host's list.
-    The move goes a column at a time: column k holds the host bit of small
-    slot k under every subset, so a small mask's moved masks are the sums
-    across its columns, one pass over all subsets.
+    The copies are enumerated once, in a small host whose classes are the
+    largest of the fitting patterns' (K_K, or the signed K_{P,Q}).  Its
+    minimal masks are moved onto every image: a subset of each host class
+    of the small class's size, the i-th vertex of a small class going to
+    the i-th of its subset; the union is the host's list.  Column k holds
+    the host bit of small slot k under every image, so a small mask's moved
+    masks are the sums across its columns, one pass over all images.
 
-    Every copy lies in such a subset, since it has at most K vertices, so
-    every minimal mask of the host is a minimal mask of some subset and is
-    in the union.  No mask of the union contains another: say a copy mask c
-    lies strictly inside a mask moved into the subset S.  The non-isolated
-    vertices of c's copy lie in S, and its pattern has at most K vertices,
-    so its isolated vertices fit on the rest of S: c is a copy mask of S,
-    and the moved mask was not minimal in S.
+    Every copy lies in an image, since each of its classes is at most the
+    small host's, so every minimal mask of the host is a minimal mask of
+    some image and is in the union.  No mask of the union contains another:
+    say a copy mask c lies strictly inside a mask moved into the image S.
+    The non-isolated vertices of c's copy lie in S, and its pattern's
+    classes are at most S's, so its isolated vertices fit on the rest of S:
+    c is a copy mask of S, and the moved mask was not minimal in S.
 
     If P == Q and the side swap maps the masks of K_{P,P} onto themselves,
     the patterns and their side swaps have the same copies there, hence,
     moved as above, in every K_{a,b}: instance (b, a) is the swap of (a, b).
     """
-    slots = _host(size)[1]
+    slots = _slots(size)
     fitting = _fitting(size, patterns)
     if not fitting:
         return slots, [], False
-    if len(size) == 1:
-        small = (max(h.vertex_count for h in fitting),)
-        images = list(combinations(range(size[0]), small[0]))
-    else:
-        m, n = size
-        small = (max(h.plus_count for h in fitting), max(h.minus_count for h in fitting))
-        images = [
-            plus + minus
-            for plus in combinations(range(m), small[0])
-            for minus in combinations(range(m, m + n), small[1])
-        ]
-    small_host, small_slots = _host(small)
-    table = _copy_masks(small_host, small_slots, fitting)
+    small = tuple(map(max, zip(*map(_sizes, fitting))))
+    images = [sum(parts, ()) for parts in product(*map(combinations, _classes(size), small))]
+    small_slots = _slots(small)
+    table = _copy_masks(small, fitting)
     local = []
     for c in table:
         ks = []
@@ -375,13 +376,13 @@ def _instance(size: tuple[int, ...], patterns):
 def _delete_vertex(slots, masks, v: int):
     """Slots and copy masks of the host without vertex v, from the host's own.
 
-    v is the last vertex of K_n, or of one side of the flattened K_{m,n}, so
-    the slots that avoid v, in order and with the vertices above v shifted
-    down, are the smaller host's slots as `_instance` lays them out.  Its
-    copies are the copies that avoid v, so its minimal copy masks are the
-    minimal masks that avoid v, moved to the new slot numbers: each set bit
-    of a mask goes to its slot's new bit.  The last + vertex of K_{m,n}
-    holds the top n slots, so there no bit moves and the masks are filtered.
+    v is the last vertex of its class, so the slots that avoid v, in order
+    and with the vertices above v shifted down, are the smaller host's slots
+    as `_slots` lays them out.  Its copies are the copies that avoid v, so
+    its minimal copy masks are the minimal masks that avoid v, moved to the
+    new slot numbers: each set bit of a mask goes to its slot's new bit.
+    The last + vertex of K_{m,n} holds the top n slots, so there no bit
+    moves and the masks are filtered.
     """
     kept = [k for k, e in enumerate(slots) if v not in e]
     at_v = sum(1 << k for k, e in enumerate(slots) if v in e)
@@ -405,39 +406,37 @@ def _delete_vertex(slots, masks, v: int):
 def _lex_orders(size, slots) -> list[list[tuple[int, int]]]:
     """Lex-leader constraints that the first optimum of every instance meets.
 
-    The host's relabellings (S_n on K_n, the side-preserving S_m x S_n on
-    K_{m,n}) permute the copy masks and the vertex caps among themselves,
-    so they map optima to optima.  The first optimum in include-first order
-    is the lexicographically greatest optimum, read from slot 0, so it is
-    the greatest in its orbit.  In the row-major slot order of `_instance`,
-    swapping i and i+1 in K_n cannot raise that string, so row i beats row
-    i+1 with columns i and i+1 left out (Codish, Miller, Prosser & Stuckey,
-    Constraints 2019); for K_{m,n}, adjacent rows and adjacent columns are
-    non-increasing (Flener et al., CP 2002).
+    The relabellings that keep each class (S_n on K_n, S_m x S_n on K_{m,n})
+    permute the copy masks and the vertex caps among themselves, so they
+    map optima to optima.  The first optimum in include-first order is the
+    lexicographically greatest optimum, read from slot 0, so it is the
+    greatest in its orbit.  Swapping adjacent vertices v, v+1 of a class
+    exchanges slot (v, w) with the later (v+1, w) for each w joined to both,
+    in w order, so it cannot raise the string iff v's bits there are
+    lexicographically at least v+1's: on K_n row i against row i+1, columns
+    i and i+1 left out (Codish, Miller, Prosser & Stuckey, Constraints
+    2019), on K_{m,n} adjacent rows, then adjacent columns (Flener et al.,
+    CP 2002).
     """
-    at = {}
+    row = [{} for _ in range(sum(size))]  # row[v]: w -> slot of vw, filled in slot order, so in w order
     for k, (a, b) in enumerate(slots):
-        at[a, b] = at[b, a] = k
-    if len(size) == 1:
-        (n,) = size
-        return [[(at[i, c], at[i + 1, c]) for c in range(n) if c not in (i, i + 1)] for i in range(n - 1)]
-    m, n = size
-    rows = [[(at[p, m + q], at[p + 1, m + q]) for q in range(n)] for p in range(m - 1)]
-    columns = [[(at[p, m + q], at[p, m + q + 1]) for p in range(m)] for q in range(n - 1)]
-    return rows + columns
+        row[a][b] = row[b][a] = k
+    # v and v+1 share a class, so they are joined to the same vertices besides each other
+    pairs = ((v, v + 1) for vertices in _classes(size) for v in vertices[:-1])
+    return [[(k, row[u][w]) for w, k in row[v].items() if w != u] for v, u in pairs]
 
 
 def _bnb(size, slots, masks, memo: dict, swap: bool = False) -> tuple[int, int]:
     """Branch-and-bound with the vertex-deletion bound (see the module notes).
 
-    Each class of k vertices (all of K_n, or one side of K_{m,n}) shares one
-    X, and each edge has d endpoints in the class, so summing |h - v| <= X
-    over the class gives (k - d)|h| <= k X (Katona-Nemetz-Simonovits).  The
-    X are solved the same way on the smaller hosts, whose instances come
-    from this one by `_delete_vertex`; memo maps a size to its optimum.
-    With swap, as `_instance` reports it, sizes (a, b) and (b, a) have one
-    optimum, kept under the smaller size; the memo holds values only, so
-    sharing them cannot change a witness.
+    Each class of k vertices shares one X, the optimum without its last
+    vertex, and each edge has d endpoints in the class, so summing
+    |h - v| <= X over the class gives (k - d)|h| <= k X
+    (Katona-Nemetz-Simonovits).  The X are solved the same way on the
+    smaller hosts, whose instances come from this one by `_delete_vertex`;
+    memo maps a size to its optimum.  With swap, as `_instance` reports it,
+    sizes (a, b) and (b, a) have one optimum, kept under the smaller size;
+    the memo holds values only, so sharing them cannot change a witness.
 
     Every search runs under `_lex_orders`, which cuts the hosts that
     swapping two adjacent vertices makes lexicographically greater and so
@@ -446,24 +445,20 @@ def _bnb(size, slots, masks, memo: dict, swap: bool = False) -> tuple[int, int]:
     """
     if not masks:
         return branch_and_bound_max_free(len(slots), masks)
-    if len(size) == 1:
-        (n,) = size
-        classes = [(range(n), (n - 1,), 2)]
-    else:
-        m, n = size
-        classes = [(range(m), (m - 1, n), 1), (range(m, m + n), (m, n - 1), 1)]
     star = [0] * sum(size)
     for k, (a, b) in enumerate(slots):
         star[a] |= 1 << k
         star[b] |= 1 << k
     caps, limit = [], len(slots)
-    for vertices, smaller, d in classes:
+    for i, vertices in enumerate(_classes(size)):
+        smaller = size[:i] + (size[i] - 1,) + size[i + 1 :]
         key = min(smaller, smaller[::-1]) if swap else smaller
         if key not in memo:
             sub_slots, sub_masks = _delete_vertex(slots, masks, vertices[-1])
             memo[key] = _bnb(smaller, sub_slots, sub_masks, memo, swap)[0]
         x = memo[key]
         caps += [(star[v], x) for v in vertices]
+        d = sum(v in vertices for v in slots[0])  # endpoints in the class, the same for every edge
         if len(vertices) > d:
             limit = min(limit, len(vertices) * x // (len(vertices) - d))
     return branch_and_bound_max_free(len(slots), masks, caps, limit, lex=_lex_orders(size, slots))
@@ -505,15 +500,11 @@ class ExtremalRecord:
             w = self.witness_graph()
         except Exception as exc:
             raise InvariantViolation(f"witness does not decode: {exc}") from exc
-        if self.kind == "turan":
-            if (w.vertex_count,) != tuple(self.size):
-                raise InvariantViolation("witness size mismatch")
-        else:
-            if (w.plus_count, w.minus_count) != tuple(self.size):
-                raise InvariantViolation("witness part sizes mismatch")
+        if _sizes(w) != tuple(self.size):
+            raise InvariantViolation("witness class sizes differ from the record's size")
         if w.edge_count != self.value:
             raise InvariantViolation("witness edge count differs from value")
-        for fg in self.forbidden_graphs():
+        for fg in _fitting(self.size, self.forbidden_graphs()):
             if not is_free(w, fg):
                 raise InvariantViolation("witness contains a forbidden pattern")
 
@@ -545,16 +536,13 @@ class ExtremalRecord:
         )
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def forbidden_certificates(forbidden) -> tuple[str, ...]:
     return tuple(sorted(canonical_form(h).bytes.decode() for h in forbidden))
 
 
 def _solve(size: tuple[int, ...], forbidden, method: str) -> ExtremalRecord:
-    """The front end both exact_* share: masks, one engine, checked witness, record."""
+    """The front end both exact_* share: size check, masks, engine, checked witness, record."""
+    _check_size(size, method)
     t0 = time.perf_counter()
     slots, masks, swap = _instance(size, forbidden)
     if method == "oracle":
@@ -575,16 +563,25 @@ def _solve(size: tuple[int, ...], forbidden, method: str) -> ExtremalRecord:
         witness=encode_graph6(w) if len(size) == 1 else encode_sb(w),
         method=method,
         runtime_ms=runtime,
-        timestamp=_now(),
+        timestamp=datetime.now(timezone.utc).isoformat(),
     )
 
 
-def _check_cap(method: str, measure: str, size: int):
-    if method not in CAPS:
+def _check_size(size: tuple[int, ...], method: str) -> None:
+    """Refuse a negative class size, or a host past embed's or the method's limit."""
+    if min(size) < 0:
+        raise PreconditionViolated(f"host class sizes {size} must be nonnegative")
+    if sum(size) > MAX_HOST_VERTICES:
+        raise SizeExceeded(f"host limited to {MAX_HOST_VERTICES} vertices")
+    if method == "oracle":
+        measure, value, cap = "edge slots", len(_slots(size)), _ORACLE_MAX_BITS
+    elif method == "branch-and-bound":
+        measure = "n" if len(size) == 1 else "m*n"
+        value, cap = prod(size), CAPS[method][measure]
+    else:
         raise ValueError(f"unknown method {method!r}")
-    cap = CAPS[method][measure]
-    if size > cap:
-        raise SizeExceeded(f"{method} capped at {measure}={cap}")
+    if value > cap:
+        raise SizeExceeded(f"{method} capped at {measure} = {cap}")
 
 
 def exact_turan(n: int, forbidden, method: str = "branch-and-bound") -> ExtremalRecord:
@@ -594,7 +591,6 @@ def exact_turan(n: int, forbidden, method: str = "branch-and-bound") -> Extremal
         raise EmptyForbiddenSet("need at least one forbidden pattern")
     if any(isinstance(h, SignedBipartiteGraph) for h in forbidden):
         raise SignMismatch("ex needs unsigned patterns; a signed one goes to exact_zarankiewicz")
-    _check_cap(method, "n", n)
     return _solve((n,), forbidden, method)
 
 
@@ -604,7 +600,6 @@ def exact_zarankiewicz(
     """Exact z(m, n, h) for a signed bipartite pattern, with witness."""
     if not isinstance(h, SignedBipartiteGraph):
         raise SignMismatch("z needs a signed pattern; an unsigned one goes to exact_turan")
-    _check_cap(method, "m*n", m * n)
     return _solve((m, n), [h], method)
 
 

@@ -95,6 +95,12 @@ class TestCleaningThreshold:
         with pytest.raises(PreconditionViolated):
             cleaning_threshold(10, C4_EDGE, 2, Fraction(1, 2))
 
+    @pytest.mark.parametrize("c", [-1, 0, Fraction(-1, 2)])
+    def test_constant_must_be_positive(self, c):
+        # a C of 0 or below gave a threshold of 0 or a negative one
+        with pytest.raises(PreconditionViolated):
+            cleaning_threshold(10, C4_EDGE, Fraction(1, 2), Fraction(1, 2), c)
+
 
 class TestDeletionExponent:
     def test_known_values(self):

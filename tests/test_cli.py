@@ -90,6 +90,33 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "SizeExceeded"
 
+    @pytest.mark.parametrize("method", ["oracle", "branch-and-bound"])
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_host_past_the_vertex_limit_is_exit_1(self, capsys, tmp_path, method, with_store):
+        # K_{0,100} has no slots and passes the m*n cap; it used to print 0, or,
+        # with a store, fail only when the record's witness was checked
+        argv = ["zex", "--m", "0", "--n", "100", "--pattern", "c4", "--method", method]
+        if with_store:
+            argv += ["--store", str(tmp_path / "store.jsonl")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "SizeExceeded"
+
+    def test_store_takes_a_pattern_too_large_to_fit(self, capsys, tmp_path):
+        # without --store this printed 10; with it, checking the record failed
+        argv = ("ex", "--n", "5", "--forbid", "c14", "--store", str(tmp_path / "store.jsonl"))
+        assert [json.loads(run(capsys, *argv)[1])["method"] for _ in range(2)] == ["branch-and-bound", "cached"]
+
+    @pytest.mark.parametrize("c", ["-1", "0"])
+    def test_threshold_constant_must_be_positive(self, capsys, c):
+        code, out, err = run(
+            capsys,
+            "threshold", "--n", "10", "--alpha", "1/2", "--gamma", "1/2", "--c", c,
+            "--pattern", "c4", "--root-edge", "0",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "PreconditionViolated"
+
     def test_parse_error_is_exit_1(self, capsys):
         code, _, err = run(capsys, "count", "--pattern", "??bogus??", "--host", "c4")
         assert code == 1

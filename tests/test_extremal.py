@@ -22,6 +22,7 @@ from edgeglue.errors import (
     EmptyForbiddenSet,
     InfeasibleInput,
     InvariantViolation,
+    PreconditionViolated,
     SignMismatch,
     SizeExceeded,
 )
@@ -42,6 +43,7 @@ from edgeglue.graphs import (
     component_roots,
     cycle,
     path,
+    signed_complete_bipartite,
     signed_cycle,
     signed_star,
     star,
@@ -79,6 +81,13 @@ class TestExactTuran:
         assert is_free(w, cycle(4))
         rec.validate()
 
+    def test_record_validates_with_a_pattern_too_large_to_fit(self):
+        # C14 cannot fit in K_5; validate used to hand it to is_free, which
+        # refuses patterns of more than 12 vertices
+        rec = exact_turan(5, [cycle(14)])
+        assert rec.value == 10
+        rec.validate()
+
     def test_oracle_agrees_with_branch_and_bound(self):
         for n in (4, 5):
             a = exact_turan(n, [cycle(4)], method="oracle").value
@@ -95,8 +104,8 @@ class TestExactTuran:
             exact_turan(4, [])
         with pytest.raises(SizeExceeded):
             exact_turan(11, [cycle(4)])
-        with pytest.raises(SizeExceeded):
-            exact_turan(8, [cycle(4)], method="oracle")
+        with pytest.raises(SizeExceeded):  # 36 slots, past the oracle's 28
+            exact_turan(9, [cycle(4)], method="oracle")
         with pytest.raises(InfeasibleInput):
             exact_turan(4, [LabeledGraph(2)])  # edgeless pattern fits everywhere
 
@@ -165,16 +174,18 @@ class TestExactZarankiewicz:
             exact_zarankiewicz(9, 8, signed_cycle(4))
 
 
+@pytest.fixture
+def no_masks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("copy masks built for a refused query")
+
+    monkeypatch.setattr(extremal, "_instance", refuse)
+
+
+@pytest.mark.usefixtures("no_masks")
 class TestMixedSigns:
     """ex takes unsigned patterns and z a signed one; the other type is
     refused with SignMismatch before any copy mask is built."""
-
-    @pytest.fixture(autouse=True)
-    def no_masks(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("copy masks built for a refused query")
-
-        monkeypatch.setattr(extremal, "_instance", refuse)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_turan_refuses_a_signed_pattern(self, n):
@@ -263,9 +274,8 @@ Z_C4_WITNESSES = {
     7: "sb:7:7:1110000100110010000110101010010010100110010010110",
     8: "sb:8:8:1111000010001100100000110100101001000101001010010010011000011000",
 }
-# ex(8) is the oracle's 28-slot limit, past its default cap, and ex(9) is
-# beyond it; z(5, 5) is pinned in TestExhaustiveOracle, and z(6, 6) is beyond
-# the oracle
+# ex(8) is at the oracle's 28-slot limit and ex(9) is beyond it; z(5, 5) is
+# pinned in TestExhaustiveOracle, and z(6, 6) is beyond the oracle
 EX_CASES = [(n, m) for n in A006855_EX_C4 for m in METHODS if n <= 8 or m != "oracle"]
 Z_CASES = [(n, m) for n in A001197_Z_C4 for m in METHODS if n not in Z_C4_WITNESSES and (n < 5 or m != "oracle")]
 
@@ -273,8 +283,7 @@ Z_CASES = [(n, m) for n in A001197_Z_C4 for m in METHODS if n not in Z_C4_WITNES
 class TestLiteratureOracle:
     @pytest.mark.parametrize("n, method", EX_CASES)
     def test_ex_c4_matches_oeis_a006855(self, n, method):
-        with mock.patch.dict(extremal.CAPS["oracle"], n=8):
-            assert exact_turan(n, [cycle(4)], method=method).value == A006855_EX_C4[n]
+        assert exact_turan(n, [cycle(4)], method=method).value == A006855_EX_C4[n]
 
     @pytest.mark.parametrize("n, method", Z_CASES)
     def test_z_signed_c4_matches_oeis_a001197(self, n, method):
@@ -284,6 +293,90 @@ class TestLiteratureOracle:
     def test_z_signed_c4_witness(self, n):
         rec = exact_zarankiewicz(n, n, signed_cycle(4))
         assert (rec.value, rec.witness) == (A001197_Z_C4[n], Z_C4_WITNESSES[n])
+
+
+class TestSizeCheck:
+    """Every query's size is checked once, at entry, before any copy mask is
+    built: a negative class size, a host past embed's vertex limit, or one
+    past the method's own limit."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_negative_sizes(self, no_masks, method):
+        # both used to raise a bare ValueError from a graph constructor; m*n = 6
+        # passed the cap
+        with pytest.raises(PreconditionViolated):
+            exact_turan(-1, [cycle(4)], method=method)
+        with pytest.raises(PreconditionViolated):
+            exact_zarankiewicz(-2, -3, signed_cycle(4), method=method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("m, n", [(0, 100), (0, 66), (66, 0)])
+    def test_host_past_the_vertex_limit(self, no_masks, method, m, n):
+        # no slots and inside the m*n cap: K_{0,100} used to return 0
+        with pytest.raises(SizeExceeded):
+            exact_zarankiewicz(m, n, signed_cycle(4), method=method)
+
+    @pytest.mark.parametrize("m, n", [(0, 65), (1, 64), (64, 1)])
+    def test_host_at_the_vertex_limit(self, m, n):
+        assert exact_zarankiewicz(m, n, signed_cycle(4)).value == m * n
+
+    def test_oracle_takes_28_slots(self):
+        # each was past the oracle's old caps of 7 vertices and 25 cells
+        recs = [exact_turan(8, [HSTAR], method="oracle")]
+        recs += [exact_zarankiewicz(m, n, signed_cycle(4), method="oracle") for m, n in ((4, 7), (2, 14))]
+        assert [r.value for r in recs] == [16, 13, 15]
+        for rec in recs:
+            rec.validate()
+
+    def test_oracle_refuses_29_slots_or_more(self, no_masks):
+        # ex(9) is in TestExactTuran.test_input_guards
+        for m, n in ((5, 6), (2, 15), (1, 29)):
+            with pytest.raises(SizeExceeded):
+                exact_zarankiewicz(m, n, signed_cycle(4), method="oracle")
+
+
+# Every host size inside the caps: K_n to n = 10, and K_{m,n} to m*n = 64 and
+# 65 vertices (the (0, n) and (m, 0) hosts have no slots).
+K_N_SIZES = [(n,) for n in range(11)]
+K_MN_SIZES = [(m, n) for m in range(66) for n in range(66 - m) if m * n <= 64]
+
+
+class TestHostByClasses:
+    """The host is described once, by its vertex classes; its slots and
+    lex-leader rows agree with the two kinds' own closed forms."""
+
+    def test_slots_are_the_host_graphs_sorted_edges(self):
+        for size in K_N_SIZES:
+            assert extremal._slots(size) == list(complete(*size).sorted_edges), size
+        for size in K_MN_SIZES:
+            assert extremal._slots(size) == list(signed_complete_bipartite(*size).as_unsigned().sorted_edges), size
+
+    @staticmethod
+    def reference_lex_orders(size, slots):
+        """K_n: row i beats row i+1 with columns i and i+1 left out; K_{m,n}:
+        its adjacent rows, then its adjacent columns."""
+        at = {}
+        for k, (a, b) in enumerate(slots):
+            at[a, b] = at[b, a] = k
+        if len(size) == 1:
+            (n,) = size
+            return [[(at[i, c], at[i + 1, c]) for c in range(n) if c not in (i, i + 1)] for i in range(n - 1)]
+        m, n = size
+        rows = [[(at[p, m + q], at[p + 1, m + q]) for q in range(n)] for p in range(m - 1)]
+        columns = [[(at[p, m + q], at[p, m + q + 1]) for p in range(m)] for q in range(n - 1)]
+        return rows + columns
+
+    def test_lex_orders_match_the_closed_forms(self):
+        assert {(1, 64), (64, 1), (0, 65), (8, 8)} <= set(K_MN_SIZES)
+        for size in K_N_SIZES + K_MN_SIZES:
+            slots = extremal._slots(size)
+            assert extremal._lex_orders(size, slots) == self.reference_lex_orders(size, slots), size
+
+    def test_small_host_is_the_classwise_maximum(self):
+        # C4 has sides (2, 2), the star (1, 3): the copies are enumerated in K_{2,3}
+        with mock.patch.object(extremal, "_copy_masks", wraps=extremal._copy_masks) as spy:
+            extremal._instance((4, 5), [signed_cycle(4), signed_star(3)])
+        assert spy.call_args.args[0] == (2, 3)
 
 
 class TestDegenerateSizes:
