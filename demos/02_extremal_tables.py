@@ -6,11 +6,7 @@ embeddings must respect the two sides.  Both are computed exactly here by
 an exhaustive engine and a branch-and-bound engine that cross-check.
 """
 
-from edgeglue.extremal import (
-    exact_turan,
-    exact_zarankiewicz,
-    ratio_report,
-)
+from edgeglue.extremal import exact_turan, exact_zarankiewicz
 from edgeglue.gluing import glue_along_edge
 from edgeglue.graphs import cycle, signed_cycle
 
@@ -34,10 +30,3 @@ for n in range(4, 8):
     lo = exact_turan(n, [cycle(4)]).value
     hi = exact_turan(n, [hstar]).value
     print(f"  n={n}: {lo} <= {hi}")
-
-print("\nex/z ratio table for C4:")
-for row in ratio_report(cycle(4), range(2, 6)):
-    if row.skipped:
-        print(f"  n={row.n}: skipped (too large for exact search)")
-    else:
-        print(f"  n={row.n}: ex={row.ex}  z={row.z}  ratio={row.ratio}")

@@ -42,11 +42,8 @@ from .embed import (
 from .errors import EdgeGlueError
 from .extremal import (
     ExtremalRecord,
-    RatioRow,
     exact_turan,
     exact_zarankiewicz,
-    ratio_report,
-    sign_graph,
 )
 from .gluing import (
     GluingSpec,

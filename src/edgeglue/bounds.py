@@ -133,14 +133,21 @@ def cleaning_threshold(n: int, s: PatternStats, gamma, alpha, c=1) -> CleaningTh
     )
     expo = (alpha - 1) / ((s.ell - 1) + (1 - alpha) * (1 - s.eF))
     b2 = ThresholdBranch(n_exponent=expo, gamma_exponent=expo)
-    v1, v2 = b1.evaluate(n, gamma), b2.evaluate(n, gamma)
-    dominating = 1 if v1 >= v2 else 2
+    try:
+        # float() of a Fraction past the range, and math.exp, raise OverflowError; math.log
+        # of a gamma that rounds to 0.0 raises ValueError; a float product past it is inf or nan
+        v1, v2 = b1.evaluate(n, gamma), b2.evaluate(n, gamma)
+        value = float(c) * max(v1, v2)
+        if not all(map(math.isfinite, (v1, v2, value))):
+            raise OverflowError
+    except (OverflowError, ValueError) as exc:
+        raise PreconditionViolated("an input or the threshold leaves the float range") from exc
     return CleaningThreshold(
         c=c,
         branch1=b1,
         branch2=b2,
-        value=float(c) * max(v1, v2),
-        dominating_branch=dominating,
+        value=value,
+        dominating_branch=1 if v1 >= v2 else 2,
     )
 
 

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: glue, count, ex, zex, ratio, exponent, threshold, construct,
+Subcommands: glue, count, ex, zex, exponent, threshold, construct,
 supersat, verify, cache.  Exit codes: 0 success, 1 domain error (JSON on
 stderr), 2 usage error.  Randomized subcommands require --seed and echo it.
 
@@ -141,22 +141,6 @@ def cmd_zex(args) -> int:
         lambda: extremal.exact_zarankiewicz(args.m, args.n, h, method=args.method),
     )
     _emit({"value": rec.value, "witness": rec.witness, "method": rec.method})
-    return 0
-
-
-def cmd_ratio(args) -> int:
-    h = parse_graph(args.pattern)
-    rows = extremal.ratio_report(h, args.sizes, method=args.method)
-    for row in rows:
-        _emit(
-            {
-                "n": row.n,
-                "ex": row.ex,
-                "z": row.z,
-                "ratio": _frac_str(row.ratio) if row.ratio is not None else "-",
-                "skipped": row.skipped,
-            }
-        )
     return 0
 
 
@@ -329,13 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="branch-and-bound")
     sp.add_argument("--store", default=None)
     sp.set_defaults(func=cmd_zex)
-
-    sp = sub.add_parser("ratio", help="ex(n,H) vs z(n,n,H) table")
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--sizes", type=_naturals, required=True, help="comma-separated n values")
-    sp.add_argument("--method", choices=["oracle", "branch-and-bound"],
-                    default="branch-and-bound")
-    sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("exponent", help="forest-gluing exponent")
     sp.add_argument("--alpha", type=_frac, required=True, help="rational, e.g. 1/2")

@@ -42,7 +42,6 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import prod
 from operator import itemgetter, le
@@ -601,66 +600,3 @@ def exact_zarankiewicz(
     if not isinstance(h, SignedBipartiteGraph):
         raise SignMismatch("z needs a signed pattern; an unsigned one goes to exact_turan")
     return _solve((m, n), [h], method)
-
-
-# ---------------------------------------------------------------------------
-# ex vs z ratio tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    n: int
-    ex: Optional[int]
-    z: Optional[int]
-    ratio: Optional[Fraction]
-    skipped: bool = False
-
-
-def bipartition(g: LabeledGraph) -> Optional[tuple[list[int], list[int]]]:
-    """2-coloring of a bipartite graph, or None."""
-    color = [-1] * g.vertex_count
-    for s in range(g.vertex_count):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    plus = [v for v in range(g.vertex_count) if color[v] == 0]
-    minus = [v for v in range(g.vertex_count) if color[v] == 1]
-    return plus, minus
-
-
-def sign_graph(g: LabeledGraph) -> SignedBipartiteGraph:
-    """Sign a bipartite graph by its 2-coloring that puts the least vertex
-    of each component on the + side."""
-    parts = bipartition(g)
-    if parts is None:
-        raise InfeasibleInput("graph is not bipartite")
-    plus, minus = parts
-    flat = g.relabel({v: i for i, v in enumerate(plus + minus)})
-    return SignedBipartiteGraph.from_flat(len(plus), flat)
-
-
-def ratio_report(h: LabeledGraph, sizes, method: str = "branch-and-bound") -> list[RatioRow]:
-    """Rows (n, ex(n,h), z(n,n,signed h), ex/z), h signed by `sign_graph`;
-    oversized rows are skipped."""
-    signed_h = sign_graph(h)
-    rows = []
-    for n in sizes:
-        try:
-            ex_rec = exact_turan(n, [h], method=method)
-            z_rec = exact_zarankiewicz(n, n, signed_h, method=method)
-        except SizeExceeded:
-            rows.append(RatioRow(n=n, ex=None, z=None, ratio=None, skipped=True))
-            continue
-        ratio = Fraction(ex_rec.value, z_rec.value) if z_rec.value else None
-        rows.append(RatioRow(n=n, ex=ex_rec.value, z=z_rec.value, ratio=ratio))
-    return rows

@@ -87,10 +87,6 @@ class LabeledGraph:
             adj[b] |= 1 << a
         return tuple(adj)
 
-    def neighbors(self, v: int) -> list[int]:
-        m = self.adjacency[v]
-        return [u for u in range(self.vertex_count) if m >> u & 1]
-
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 

@@ -149,8 +149,7 @@ def load_records(path: str, kind: Optional[str] = None) -> list[ExtremalRecord]:
 
 def lookup(path: str, kind: str, forbidden, size) -> Optional[ExtremalRecord]:
     """The earliest record under (kind, forbidden, size), or None."""
-    size = tuple(size) if isinstance(size, (tuple, list)) else (size,)
-    key = (kind, tuple(sorted(forbidden)), size)
+    key = (kind, tuple(sorted(forbidden)), tuple(size))
     records, tail = _indexed(path)
     hit = records.get(key)
     if hit is None and tail is not None and tail.key() == key:

@@ -101,6 +101,29 @@ class TestCleaningThreshold:
         with pytest.raises(PreconditionViolated):
             cleaning_threshold(10, C4_EDGE, Fraction(1, 2), Fraction(1, 2), c)
 
+    @pytest.mark.parametrize(
+        "n, gamma, alpha, c",
+        [
+            (5, Fraction(1, 2), 10**400, 1),  # float(alpha - 1) overflows
+            (5, Fraction(1, 2), -(10**400), 1),
+            (5, Fraction(1, 10**400), Fraction(1, 2), 1),  # gamma rounds to 0.0
+            (5, Fraction(1, 2), Fraction(1, 2), 10**400),  # float(C) overflows
+            (5, Fraction(1, 2), 2000, 1),  # exp of branch 2's log overflows
+            (5, Fraction(1, 2), 500, 10**300),  # C times the branch is inf
+            # branch 2's log is inf + (-inf): it gave branch 1's value, labelled branch 2
+            (10, Fraction(1, 10**300), 10**308, 1),
+        ],
+        ids=["alpha", "-alpha", "gamma", "C", "exp", "C-times-branch", "nan"],
+    )
+    def test_float_range(self, n, gamma, alpha, c):
+        with pytest.raises(PreconditionViolated, match="float range"):
+            cleaning_threshold(n, C4_EDGE, gamma, alpha, c)
+
+    def test_a_branch_below_the_float_range_is_zero(self):
+        th = cleaning_threshold(5, C4_EDGE, Fraction(1, 2), -2000)
+        assert th.branch2.evaluate(5, Fraction(1, 2)) == 0.0
+        assert (th.value, th.dominating_branch) == (th.branch1.evaluate(5, Fraction(1, 2)), 1)
+
 
 class TestDeletionExponent:
     def test_known_values(self):

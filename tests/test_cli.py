@@ -15,6 +15,9 @@ from edgeglue.cli import main
 
 # a store line whose checksum is valid but whose record has no fields
 MALFORMED_STORE = '{"crc32":2745614147,"record":{}}\n'
+# 10^400, past the float range, and a threshold query short of its rationals
+HUGE = "1" + "0" * 400
+THRESHOLD = ("threshold", "--n", "5", "--pattern", "c4", "--root-edge", "0")
 
 
 def run(capsys, *argv):
@@ -76,12 +79,6 @@ class TestDispatch:
         assert payload["branch1_n_exponent"] == "-2/3"
         assert payload["branch2_n_exponent"] == "-1/2"
 
-    def test_ratio_rows(self, capsys):
-        code, out, _ = run(capsys, "ratio", "--pattern", "c4", "--sizes", "4,5")
-        assert code == 0
-        rows = [json.loads(line) for line in out.strip().splitlines()]
-        assert rows[0]["ratio"] == "4/9" and rows[1]["ratio"] == "1/2"
-
 
 class TestExitCodes:
     def test_domain_error_is_exit_1_with_json_stderr(self, capsys):
@@ -125,6 +122,9 @@ class TestExitCodes:
     def test_usage_error_is_exit_2(self, capsys):
         assert run(capsys, "count", "--pattern", "c4")[0] == 2
         assert run(capsys, "no-such-command")[0] == 2
+        # the retired ex/z ratio table
+        code, out, err = run(capsys, "ratio", "--pattern", "c4", "--sizes", "4,5")
+        assert (code, out) == (2, "") and "invalid choice: 'ratio'" in err
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -152,6 +152,11 @@ class TestExitCodes:
              "ParseError"),
             (("zex", "--m", "2", "--n", "2", "--pattern", '{"plus":1,"minus":1,"edges":[[0,0.0]]}'),
              "ParseError"),
+            # a rational, or the threshold, past the float range
+            ((*THRESHOLD, "--alpha", HUGE, "--gamma", "1/2"), "PreconditionViolated"),
+            ((*THRESHOLD, "--alpha", "-" + HUGE, "--gamma", "1/2"), "PreconditionViolated"),
+            ((*THRESHOLD, "--alpha", "1/2", "--gamma", "1/" + HUGE), "PreconditionViolated"),
+            ((*THRESHOLD, "--alpha", "1/2", "--gamma", "1/2", "--c", HUGE), "PreconditionViolated"),
         ],
     )
     def test_bad_input_is_exit_1_without_traceback(self, capsys, tmp_path, argv, error):
@@ -175,7 +180,7 @@ class TestExitCodes:
             ("construct", "--kind", "gnp", "--n", "-3", "--p", "1/2", "--seed", "0"),
             ("construct", "--kind", "gnp", "--n", "3", "--p", "3/2", "--seed", "0"),
             ("construct", "--kind", "gnp", "--n", "3", "--p", "1/2", "--seed", "-1"),
-            ("ratio", "--sizes", "a", "--pattern", "c4"),
+            (*THRESHOLD, "--alpha", "1/0", "--gamma", "1/2"),
             ("exponent", "--alpha", "1/2", "--pattern", "c4", "--root-vertices", "x"),
             ("exponent", "--alpha", "1/2", "--pattern", "c4", "--root-vertices", "0,1",
              "--root-edges", "a-b"),
@@ -364,7 +369,6 @@ FLAGS = {
     "ex": ({"--n": NUMBERS, "--forbid": GRAPHS}, {"--method": METHODS, "--store": "STORE"}),
     "zex": ({"--m": NUMBERS, "--n": NUMBERS, "--pattern": GRAPHS},
             {"--method": METHODS, "--store": "STORE"}),
-    "ratio": ({"--pattern": GRAPHS, "--sizes": NUMBERS}, {"--method": METHODS}),
     "exponent": ({"--alpha": NUMBERS, "--pattern": GRAPHS}, ROOTS),
     "threshold": ({"--n": NUMBERS, "--alpha": NUMBERS, "--gamma": NUMBERS, "--pattern": GRAPHS},
                   {"--c": NUMBERS, **ROOTS}),

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 STDOUT_SHA256 = {
     "01_gluing_walkthrough.py": "40545e7af6bf06266cc66a3ec0de36d8435a9cea4a8c652d98cbc9440f3a2b11",
-    "02_extremal_tables.py": "8c26f4062c2e7585b454ae98b6eb540663dc32a55a1e37449b3b6638ef72daaa",
+    "02_extremal_tables.py": "88494200b639c756691dda42452589dc72e576daf85045de19ec46ed38c5b137",
     "03_exponents_and_thresholds.py": "8068b85eed8f34f95a8201ecbcf1795b0656ca1637b818aac94d2a057fc76c1d",
     "04_deletion_construction.py": "a2e2fcc8b1a3b01f2b592eff1db48924af4d18b71d28d26bd6757eeb55ef23e5",
     "05_balanced_families.py": "ed325dac91a7c1f96be45c9f5b3d4131d9ed230fec4bf41e72d4cb83d6efab18",

@@ -1,4 +1,4 @@
-"""Exact extremal numbers, witnesses, ratio tables, and the record store."""
+"""Exact extremal numbers, witnesses, and the record store."""
 
 import dataclasses
 import json
@@ -28,12 +28,9 @@ from edgeglue.errors import (
 )
 from edgeglue.extremal import (
     ExtremalRecord,
-    bipartition,
     exact_turan,
     exact_zarankiewicz,
     forbidden_certificates,
-    ratio_report,
-    sign_graph,
 )
 from edgeglue.gluing import GluingSpec, glue_along_edge, signed_glue
 from edgeglue.graphs import (
@@ -679,31 +676,6 @@ class TestPinnedPairs:
                 h = SignedBipartiteGraph(plus, minus, [tuple(e) for e in edges])
                 rec = exact_zarankiewicz(*case["size"], h, method=case["method"])
             assert (rec.value, rec.witness) == (case["value"], case["witness"]), case
-
-
-class TestRatioReport:
-    def test_c4_rows(self):
-        rows = ratio_report(cycle(4), [4, 5])
-        assert (rows[0].ex, rows[0].z) == (4, 9)
-        assert str(rows[0].ratio) == "4/9"
-        assert (rows[1].ex, rows[1].z) == (6, 12)
-        assert str(rows[1].ratio) == "1/2"
-
-    def test_forbidden_edge_gives_undefined_ratio(self):
-        rows = ratio_report(LabeledGraph(2, [(0, 1)]), [2])
-        assert rows[0].ex == 0 and rows[0].z == 0 and rows[0].ratio is None
-
-    def test_oversized_rows_are_skipped(self):
-        rows = ratio_report(cycle(4), [4, 50])
-        assert not rows[0].skipped and rows[1].skipped
-
-    def test_bipartition_and_signing(self):
-        assert bipartition(cycle(4)) == ([0, 2], [1, 3])
-        assert bipartition(cycle(3)) is None
-        sg = sign_graph(cycle(4))
-        assert (sg.plus_count, sg.minus_count, sg.edge_count) == (2, 2, 4)
-        with pytest.raises(InfeasibleInput):
-            sign_graph(cycle(3))
 
 
 class TestRecordStore:

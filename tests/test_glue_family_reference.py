@@ -12,7 +12,8 @@ from itertools import permutations, product
 import pytest
 
 from edgeglue import gluing
-from edgeglue.canon import _swaps_ends, canonical_form
+from edgeglue.canon import canonical_form
+from edgeglue.embed import _extends_to_automorphism
 from edgeglue.errors import SizeExceeded
 from edgeglue.gluing import GluingSpec, _glue_oriented, glue_family
 from edgeglue.graphs import LabeledGraph, complete_bipartite, cycle, path, star
@@ -100,8 +101,8 @@ def test_swaps_ends_matches_a_permutation_scan():
     for g in graphs:
         expected = swapped_edges_by_scan(g)
         for a, b in g.edges:
-            assert _swaps_ends(g, a, b) == ((a, b) in expected), (g, (a, b))
-            assert _swaps_ends(g, b, a) == ((a, b) in expected), (g, (b, a))
+            assert _extends_to_automorphism(g, None, {a: b, b: a}) == ((a, b) in expected), (g, (a, b))
+            assert _extends_to_automorphism(g, None, {b: a, a: b}) == ((a, b) in expected), (g, (b, a))
 
 
 @pytest.mark.parametrize(

@@ -81,7 +81,7 @@ class TestLabeledGraph:
         g = star(3)
         assert g.degree(0) == 3
         assert g.degrees == (3, 1, 1, 1)
-        assert g.neighbors(0) == [1, 2, 3]
+        assert g.adjacency == (0b1110, 0b1, 0b1, 0b1)
 
     def test_check_edge_and_vertex(self):
         g = path(3)
