@@ -202,6 +202,23 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int]:
     return best[0], aut
 
 
+def _swaps_ends(g: LabeledGraph, a: int, b: int) -> bool:
+    """True iff some automorphism of g swaps the vertices a and b.
+
+    Colour a 1 and b 2 (every other vertex 0), then a 2 and b 1.  The cells
+    keep the colour order, so a leaf lists a and b last, in colour order,
+    and two equal least certificates give an automorphism of g that sends
+    the first colouring onto the second: a to b and b to a.  Conversely such
+    an automorphism maps one coloured graph onto the other, whose least
+    certificates are then equal.
+    """
+    colors = [0] * g.vertex_count
+    colors[a], colors[b] = 1, 2
+    cert = _search(g, colors)[0]
+    colors[a], colors[b] = 2, 1
+    return _search(g, colors)[0] == cert
+
+
 def _check_size(g) -> None:
     if g.vertex_count > MAX_CANONICAL_VERTICES:
         raise SizeExceeded(f"canonical search supports at most {MAX_CANONICAL_VERTICES} vertices")

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Optional
 
-from .canon import canonical_form
-from .embed import _extends_to_automorphism
+from .canon import _swaps_ends, canonical_form
 from .errors import (
     EdgeGlueError,
     InvalidAttachIndex,
@@ -170,9 +169,7 @@ def glue_family(spec: GluingSpec) -> list[LabeledGraph]:
     # SizeExceeded before any automorphism test runs
     g = _glue_oriented(parts, (False,) * t)[0]
     seen = {canonical_form(g): g}
-    free = [
-        i for i, (h, (a, b)) in enumerate(parts) if not _extends_to_automorphism(h, None, {a: b, b: a})
-    ][1:]
+    free = [i for i, (h, (a, b)) in enumerate(parts) if not _swaps_ends(h, a, b)][1:]
     for flips in islice(product((False, True), repeat=len(free)), 1, None):
         flipped = dict(zip(free, flips))
         g = _glue_oriented(parts, [flipped.get(i, False) for i in range(t)])[0]
