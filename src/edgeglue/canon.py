@@ -134,8 +134,9 @@ def _is_color_complete(adj, cells) -> bool:
     return True
 
 
-def _search(g: LabeledGraph, colors) -> tuple[int, int]:
-    """The least leaf certificate, and |Aut| of the coloured graph.
+def _search(g: LabeledGraph, colors) -> tuple[int, int, list[list[int]], list[list[int]]]:
+    """The least leaf certificate, |Aut| of the coloured graph, the
+    automorphisms found and the cells of the first leaf.
 
     The tree, its pruning and the count are described in the module docstring.
     """
@@ -147,6 +148,7 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int]:
     width = n.bit_length()
     gens: list[list[int]] = []
     first = best = None  # (certificate, order)
+    first_cells: list[list[int]] = []
     aut = 1
 
     def orbits(path: list[int]) -> list[int]:
@@ -156,7 +158,7 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int]:
 
     def visit(colors: list[int], path: list[int]) -> bool:
         """Explore one subtree; True means a leaf equal to the first was found."""
-        nonlocal first, best, aut
+        nonlocal first, best, first_cells, aut
         on_first_path = first is None
         colors = _refine(nbrs, colors, width)
         cells = _cells(colors)
@@ -169,6 +171,7 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int]:
             cert = _certificate_for_order(nbrs, order)
             if on_first_path:
                 first = best = (cert, order)
+                first_cells = cells
                 for cell in cells:
                     aut *= factorial(len(cell))
                 return False
@@ -199,7 +202,21 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int]:
         return False
 
     visit(list(colors), [])
-    return best[0], aut
+    return best[0], aut, gens, first_cells
+
+
+def _orbits(g: LabeledGraph, colors) -> tuple[list[int], int]:
+    """Orbit roots (equal iff one orbit) of the automorphisms of g that keep
+    colors, and their number.  The automorphisms _search finds and the
+    permutations inside its first leaf's cells generate the group.  The cells
+    are needed: the search adds none of their permutations to the ones it
+    finds (on K_n it finds none at all).
+    """
+    n = g.vertex_count
+    _, aut, gens, cells = _search(g, colors)
+    pairs = [(u, gamma[u]) for gamma in gens for u in range(n)]
+    pairs += [(cell[0], u) for cell in cells for u in cell[1:]]
+    return component_roots(n, pairs), aut
 
 
 def _swaps_ends(g: LabeledGraph, a: int, b: int) -> bool:
@@ -229,14 +246,14 @@ def canonical_form(g: LabeledGraph | SignedBipartiteGraph) -> CanonicalLabel:
     _check_size(g)
     if isinstance(g, SignedBipartiteGraph):
         # + and - are colours that may not be exchanged
-        cert, _ = _search(g.as_unsigned(), g.colors)
+        cert = _search(g.as_unsigned(), g.colors)[0]
         # colour classes stay contiguous, + first, because refinement only
         # splits: + vertex p and - vertex q are flat vertices p and m + q
         m, n = g.plus_count, g.minus_count
         top = (m + n) * (m + n - 1) // 2 - 1
         bits = (cert >> top - (m + q) * (m + q - 1) // 2 - p & 1 for p in range(m) for q in range(n))
         return CanonicalLabel(sb_from_bits(m, n, bits).encode())
-    cert, _ = _search(g, [0] * g.vertex_count)
+    cert = _search(g, [0] * g.vertex_count)[0]
     return CanonicalLabel(b"g6:" + graph6_from_bits(g.vertex_count, cert).encode())
 
 

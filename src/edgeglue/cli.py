@@ -19,8 +19,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds, constructions, extremal, gluing, store, supersat
-from .errors import EdgeGlueError, EdgeNotInGraph, InvalidRootedPattern
-from .graphs import LabeledGraph, encode_graph6, parse_graph, parse_signed_graph
+from .errors import EdgeGlueError, EdgeNotInGraph, InvalidRootedPattern, SizeExceeded
+from .graphs import GRAPH6_MAX_SHORT, LabeledGraph, encode_graph6, parse_graph, parse_signed_graph
 
 STORE_ENV = "EDGEGLUE_STORE"
 
@@ -188,6 +188,8 @@ def cmd_construct(args) -> int:
     missing = [f"--{name}" for name in _CONSTRUCT_NEEDS[args.kind] if getattr(args, name) is None]
     if missing:
         raise EdgeGlueError(f"construct --kind {args.kind} needs {' and '.join(missing)}")
+    if "n" in _CONSTRUCT_NEEDS[args.kind] and args.n > GRAPH6_MAX_SHORT:
+        raise SizeExceeded(f"construct prints graph6, which supports --n <= {GRAPH6_MAX_SHORT}")
     sampler = constructions.SeededSampler(args.seed)
     if args.kind == "gnp":
         p = float(args.p)

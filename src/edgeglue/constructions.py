@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
-from math import comb
+from math import comb, exp, log
 from typing import TYPE_CHECKING
 
 from .embed import enumerate_embeddings
@@ -60,8 +60,11 @@ def deletion_probability(n: int, f: LabeledGraph) -> float:
         raise TooFewEdges("deletion construction needs a pattern with >= 2 edges")
     if n < 1:
         raise PreconditionViolated("deletion construction needs n >= 1")
-    expo = Fraction(f.vertex_count - 2, f.edge_count - 1)
-    return 0.25 * n ** (-float(expo))
+    x = -float(Fraction(f.vertex_count - 2, f.edge_count - 1))
+    try:
+        return 0.25 * n ** x
+    except OverflowError:  # n past the float range; exp(log) would move p by an ulp at n = 16
+        return 0.25 * exp(x * log(n))
 
 
 def delete_per_copy(g: LabeledGraph, f: LabeledGraph) -> LabeledGraph:

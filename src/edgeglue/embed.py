@@ -28,8 +28,9 @@ otherwise give a smaller map; conversely the conditions f(v) < f(w), for
 every v and every w in O_v other than v, pick that least map out of each
 orbit.  The backtracker applies them as lower bounds on the candidates of w,
 because v < w is placed first, so the copies come in lexicographic order.
-By orbit-stabilizer the product of the |O_v| is |Aut(H)|, which
-`count_copies` checks against the canonical search in `canon`.
+The orbits come from `canon`'s search with 0..v-1 individualized.  By
+orbit-stabilizer the product of the |O_v| is |Aut(H)|, which `count_copies`
+checks against canon's count of the whole group.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .canon import automorphism_count
+from .canon import _orbits, automorphism_count
 from .errors import InvariantViolation, SignMismatch, SizeExceeded
 from .graphs import LabeledGraph, SignedBipartiteGraph
 
@@ -69,7 +70,7 @@ def _check_caps(pattern_n: int, host_n: int):
 def _frames(
     pattern: LabeledGraph, host: LabeledGraph, fixed: dict[int, int],
     pattern_colors: Optional[Sequence[int]], host_colors: Optional[Sequence[int]],
-    conditions: Sequence[tuple[int, int]] = (), induced: bool = False, avoid: int = 0,
+    conditions: Sequence[tuple[int, int]] = (), avoid: int = 0,
 ) -> Iterator[tuple[list[int], Optional[int], int]]:
     """Maps extending fixed, which is trusted to embed its own pairs, down
     to their last level: yields (image, v, mask), image placing every level
@@ -79,14 +80,12 @@ def _frames(
 
     Each condition (v, w) asks map[v] < map[w]; v must be fixed or come
     before w in index order, so it is placed when w's candidates are drawn.
-    With induced, pattern non-edges must land on host non-edges too.  No
-    level takes a host vertex in the bitmask avoid.
+    No level takes a host vertex in the bitmask avoid.
 
     The vertices not in fixed are placed in index order, one level each.
     Before the loop, each level gets a static mask: the host vertices of at
     least its pattern vertex's degree and of its colour, adjacent to the
-    images of its fixed neighbours (under induced, not adjacent to those of
-    its fixed non-neighbours) and above the images of its fixed lower
+    images of its fixed neighbours and above the images of its fixed lower
     bounds.  A level's candidates are its static mask less the used and
     avoided vertices, cut down by the images of the earlier levels it
     depends on; the stack holds each level's candidates not yet tried.
@@ -116,7 +115,7 @@ def _frames(
     lower: list[list[int]] = [[] for _ in range(pn)]
     for v, w in conditions:
         lower[w].append(v)
-    static, adjacent, apart, above = [], [], [], []
+    static, adjacent, above = [], [], []
     for i, v in enumerate(order):
         mask = at_least[pattern.degrees[v]]
         if pattern_colors is not None:
@@ -124,15 +123,11 @@ def _frames(
         for w, u in fixed.items():
             if padj[v] >> w & 1:
                 mask &= hadj[u]
-            elif induced:
-                mask &= ~hadj[u]
         for w in lower[v]:
             if w in fixed:
                 mask &= -2 << fixed[w]  # host vertices above fixed[w]
         static.append(mask)
-        earlier = order[:i]
-        adjacent.append([w for w in earlier if padj[v] >> w & 1])
-        apart.append([w for w in earlier if not padj[v] >> w & 1] if induced else [])
+        adjacent.append([w for w in order[:i] if padj[v] >> w & 1])
         above.append([w for w in lower[v] if w not in fixed])
     last, v_last = depth - 1, order[-1]
     if not last:
@@ -157,8 +152,6 @@ def _frames(
         mask = static[j] & ~used
         for w in adjacent[j]:
             mask &= hadj[image[w]]
-        for w in apart[j]:
-            mask &= ~hadj[image[w]]
         for w in above[j]:
             mask &= -2 << image[w]
         if j < last:
@@ -217,46 +210,30 @@ def count_embeddings(h, g) -> int:
     return sum(mask.bit_count() for _, _, mask in _frames(h, g, {}, pc, hc))
 
 
-def _extends_to_automorphism(
-    h: LabeledGraph, colors: Optional[Sequence[int]], fixed: dict[int, int]
-) -> bool:
-    """True iff some colour-preserving automorphism of h agrees with fixed.
-
-    _backtrack trusts fixed, so the pairs are checked here first: their
-    colours, and adjacency between fixed vertices, which must map edges to
-    edges and non-edges to non-edges.  The search then places the other
-    vertices the same way (induced), so a map that breaks an adjacency is
-    refuted when it is made, not deep in the tree.
-    """
-    if colors is not None and any(colors[v] != colors[u] for v, u in fixed.items()):
-        return False
-    adj = h.adjacency
-    # a pair of fixed points keeps its adjacency; check the pairs with a moved vertex
-    for a, fa in fixed.items():
-        if a == fa:
-            continue
-        for b, fb in fixed.items():
-            if (adj[a] >> b ^ adj[fa] >> fb) & 1:
-                return False
-    return next(_backtrack(h, h, fixed, colors, colors, induced=True), None) is not None
-
-
 def _symmetry_conditions(
     h: LabeledGraph, colors: Optional[Sequence[int]]
 ) -> tuple[list[tuple[int, int]], int]:
     """The stabiliser-chain conditions (v, w), meaning map[v] < map[w], and
-    the product of the orbit sizes, which is |Aut(h)|."""
-    conditions = []
-    order = 1
-    for v in range(h.vertex_count):
-        fixed = {u: u for u in range(v)}
-        orbit = [
-            w
-            for w in range(v + 1, h.vertex_count)
-            if _extends_to_automorphism(h, colors, {**fixed, v: w})
-        ]
+    the product of the orbit sizes, which is |Aut(h)|.
+
+    Level v's orbit comes from canon's search with 0..v-1 individualized.
+    After a one-vertex orbit the group is unchanged and its orbits are
+    reused; once an orbit fills its group, the rest of the chain is trivial.
+    The product is the orbits' own, which count_copies checks against canon's.
+    """
+    n = h.vertex_count
+    base = [0] * n if colors is None else list(colors)
+    conditions, order, roots = [], 1, None
+    for v in range(n):
+        if roots is None:
+            roots, aut = _orbits(h, [max(base) + 1 + u for u in range(v)] + base[v:])
+        orbit = [w for w in range(v + 1, n) if roots[w] == roots[v]]
         conditions += [(v, w) for w in orbit]
         order *= 1 + len(orbit)
+        if 1 + len(orbit) == aut:
+            break
+        if orbit:
+            roots = None
     return conditions, order
 
 

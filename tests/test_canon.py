@@ -2,12 +2,14 @@
 exhaustive-permutation oracles."""
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeglue.canon import (
+    _orbits,
     _refine,
     automorphism_count,
     canonical_form,
@@ -335,6 +337,38 @@ class TestAutomorphisms:
     )
     def test_known_groups_beyond_the_bruteforce_oracle(self, g, order):
         assert automorphism_count(g) == order
+
+    def test_stabiliser_orbits_match_a_permutation_scan(self):
+        """For every v, _orbits on h with 0..v-1 individualized (distinct
+        colours above the base colours) gives the orbits and the order of
+        the automorphisms that keep the base colours and fix 0..v-1, as
+        found by scanning every permutation."""
+        rng = random.Random(31)
+        cases = []
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            cases.append((LabeledGraph(n, [(a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.5]), None))
+        cases += [(g, None) for g in (cycle(5), complete_bipartite(2, 3), LabeledGraph(5, cycle(4).edges), LabeledGraph(4))]
+        signed = [signed_cycle(4), signed_complete_bipartite(2, 3), SignedBipartiteGraph(2, 2, [(0, 0), (1, 1)])]
+        for _ in range(15):
+            m, n = rng.randint(0, 3), rng.randint(1, 4)
+            signed.append(SignedBipartiteGraph(m, n, [(p, q) for p in range(m) for q in range(n) if rng.random() < 0.6]))
+        cases += [(h.as_unsigned(), h.colors) for h in signed]
+        for h, colors in cases:
+            n = h.vertex_count
+            base = [0] * n if colors is None else list(colors)
+            auts = [
+                s
+                for s in permutations(range(n))
+                if all(base[s[u]] == base[u] for u in range(n))
+                and all(h.has_edge(s[a], s[b]) for a, b in h.edges)
+            ]
+            for v in range(n):
+                stab = [s for s in auts if all(s[u] == u for u in range(v))]
+                expected = {frozenset(s[u] for s in stab) for u in range(n)}
+                roots, aut = _orbits(h, [max(base) + 1 + u for u in range(v)] + base[v:])
+                assert {frozenset(u for u in range(n) if roots[u] == r) for r in roots} == expected, (h, colors, v)
+                assert aut == len(stab)
 
     def test_34_vertex_cap_is_shared(self):
         g = LabeledGraph(35)

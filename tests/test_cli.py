@@ -157,6 +157,10 @@ class TestExitCodes:
             ((*THRESHOLD, "--alpha", "-" + HUGE, "--gamma", "1/2"), "PreconditionViolated"),
             ((*THRESHOLD, "--alpha", "1/2", "--gamma", "1/" + HUGE), "PreconditionViolated"),
             ((*THRESHOLD, "--alpha", "1/2", "--gamma", "1/2", "--c", HUGE), "PreconditionViolated"),
+            # an --n whose graph6 output would pass 62 vertices, refused before sampling
+            (("construct", "--kind", "deletion", "--n", "1" + "0" * 400, "--forbid", "c4", "--seed", "0"),
+             "SizeExceeded"),
+            (("construct", "--kind", "gnp", "--n", "100", "--p", "1/2", "--seed", "0"), "SizeExceeded"),
         ],
     )
     def test_bad_input_is_exit_1_without_traceback(self, capsys, tmp_path, argv, error):

@@ -79,10 +79,11 @@ class TestGnp:
 
 class TestDeletion:
     def test_probability_values(self):
-        assert deletion_probability(16, cycle(4)) == pytest.approx(
-            0.25 * 16 ** (-2 / 3)
-        )
+        # exact: the CLI prints p, so it stays the float power below the float range
+        assert deletion_probability(16, cycle(4)) == 0.25 * 16 ** (-2 / 3)
         assert deletion_probability(64, cycle(4)) == pytest.approx(1 / 64)
+        # past it, n is never converted to a float
+        assert deletion_probability(10**400, cycle(4)) == pytest.approx(0.25 * 10 ** (-800 / 3))
         with pytest.raises(TooFewEdges):
             deletion_probability(10, LabeledGraph(2, [(0, 1)]))
 

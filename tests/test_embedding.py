@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeglue import embed
+from edgeglue import canon, embed
 from edgeglue.canon import automorphism_count
 from edgeglue.embed import (
     count_copies,
@@ -24,6 +24,7 @@ from edgeglue.graphs import (
     SignedBipartiteGraph,
     complete,
     complete_bipartite,
+    component_roots,
     cycle,
     path,
     signed_complete_bipartite,
@@ -174,21 +175,24 @@ class TestEnumerateCopies:
         images = {frozenset(e.image_edge(f) for f in e.pattern.edges) for e in copies}
         assert len(images) == len(copies) == count_embeddings(cycle(6), complete(7)) // 12
 
-    def test_unchecked_orbit_search_is_caught(self, monkeypatch):
-        """Without the edge check on the fixed pairs, the orbit search maps
-        the C4's last vertex onto the isolated one; the orbit sizes then
-        multiply to 16, not |Aut| = 8."""
+    def test_orbits_without_the_first_leaf_cells_are_caught(self, monkeypatch):
+        """K4's search stops at one colour-complete leaf and finds no
+        automorphism, so orbits read off the found ones alone are single
+        vertices; the orbit sizes then multiply to 1, not |Aut| = 24."""
 
-        def skip_edge_check(h, colors, fixed):
-            return next(embed._backtrack(h, h, fixed, colors, colors), None) is not None
+        def found_automorphisms_only(g, colors):
+            _, aut, gens, _ = canon._search(g, colors)
+            n = g.vertex_count
+            return component_roots(n, [(u, gamma[u]) for gamma in gens for u in range(n)]), aut
 
-        monkeypatch.setattr(embed, "_extends_to_automorphism", skip_edge_check)
+        monkeypatch.setattr(embed, "_orbits", found_automorphisms_only)
         with pytest.raises(InvariantViolation):
-            count_copies(C4_PLUS_ISOLATED, complete(6))
+            count_copies(complete(4), complete(6))
 
     def test_k66_chain_is_fast(self):
-        """Partial maps that break a non-edge are refuted when made; before,
-        the edge-only search took over half a second on K_{6,6}."""
+        """Each level of K_{6,6}'s chain is one refined canonical search;
+        a backtracking orbit search without refinement took over half a
+        second on it."""
         h = complete_bipartite(6, 6)
         best = float("inf")
         for _ in range(3):
@@ -239,11 +243,10 @@ class TestExtensions:
         assert total == count_embeddings(cycle(4), host)
 
 
-def permitted_maps(h, g, fixed=None, colors=None, host_colors=None, conditions=(), induced=False):
+def permitted_maps(h, g, fixed=None, colors=None, host_colors=None, conditions=()):
     """Every map of the permitted kind, sorted, from all injective images
     of h's vertices in g: it extends fixed, keeps colours, sends edges to
-    edges (and under induced non-edges to non-edges) and meets every
-    condition (v, w), map[v] < map[w]."""
+    edges and meets every condition (v, w), map[v] < map[w]."""
     fixed = fixed or {}
     out = []
     for img in permutations(range(g.vertex_count), h.vertex_count):
@@ -253,21 +256,17 @@ def permitted_maps(h, g, fixed=None, colors=None, host_colors=None, conditions=(
             continue
         if not all(g.has_edge(img[a], img[b]) for a, b in h.edges):
             continue
-        if induced and any(
-            g.has_edge(img[a], img[b]) for a, b in combinations(range(h.vertex_count), 2) if not h.has_edge(a, b)
-        ):
-            continue
         if any(img[v] >= img[w] for v, w in conditions):
             continue
         out.append(img)
     return sorted(out)
 
 
-def stream(h, g, fixed=None, colors=None, host_colors=None, conditions=(), induced=False):
-    return list(embed._backtrack(h, g, fixed or {}, colors, host_colors, conditions, induced))
+def stream(h, g, fixed=None, colors=None, host_colors=None, conditions=()):
+    return list(embed._backtrack(h, g, fixed or {}, colors, host_colors, conditions))
 
 
-def random_partial_map(rng, h, g, size, induced=False):
+def random_partial_map(rng, h, g, size):
     """A random injective map of `size` pattern vertices that keeps the
     adjacency among themselves, as _backtrack trusts its fixed pairs to;
     None when the draw breaks it."""
@@ -276,8 +275,6 @@ def random_partial_map(rng, h, g, size, induced=False):
     fixed = dict(zip(domain, images))
     for a, b in combinations(domain, 2):
         if h.has_edge(a, b) and not g.has_edge(fixed[a], fixed[b]):
-            return None
-        if induced and not h.has_edge(a, b) and g.has_edge(fixed[a], fixed[b]):
             return None
     return fixed
 
@@ -292,7 +289,6 @@ class TestBacktrackStream:
             h = random_graph(rng, int(rng.integers(1, 6)))
             g = random_graph(rng, int(rng.integers(1, 8)))
             assert stream(h, g) == permitted_maps(h, g)
-            assert stream(h, g, induced=True) == permitted_maps(h, g, induced=True)
 
     def test_signed_pairs(self):
         rng = np.random.default_rng(17)
@@ -322,9 +318,6 @@ class TestBacktrackStream:
             pairs = [(v, w) for v, w in pairs if w not in fixed and (v < w or v in fixed)]
             conditions = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(0, 3))]]
             assert stream(h, g, fixed, conditions=conditions) == permitted_maps(h, g, fixed, conditions=conditions)
-            fixed = random_partial_map(rng, h, g, int(rng.integers(1, h.vertex_count + 1)), induced=True)
-            if fixed is not None:
-                assert stream(h, g, fixed, induced=True) == permitted_maps(h, g, fixed, induced=True)
 
     def test_extensions_of_rooted_patterns(self):
         host = random_graph(np.random.default_rng(23), 7)
@@ -345,31 +338,6 @@ class TestBacktrackStream:
                 assert stream(h, g, conditions=conditions) == expected
                 assert [e.map for e in enumerate_copies(h, g)] == expected == orbit_least_maps(h, g)
 
-    def test_induced_search_finds_the_automorphisms(self):
-        rng = np.random.default_rng(31)
-        graphs_ = [random_graph(rng, int(rng.integers(1, 7))) for _ in range(25)]
-        graphs_ += [cycle(5), complete_bipartite(2, 3), C4_PLUS_ISOLATED, LabeledGraph(4)]
-        for h in graphs_:
-            n = h.vertex_count
-            auts = permitted_maps(h, h, induced=True)
-            assert len(auts) == automorphism_count(h)
-            assert stream(h, h, induced=True) == auts
-            for v in range(n):
-                for w in range(v, n):
-                    fixed = {u: u for u in range(v)} | {v: w}
-                    agree = [s for s in auts if all(s[a] == b for a, b in fixed.items())]
-                    assert embed._extends_to_automorphism(h, None, fixed) == bool(agree)
-                    # the stream trusts fixed to keep its own adjacencies
-                    if all(h.has_edge(a, b) == h.has_edge(fixed[a], fixed[b]) for a, b in combinations(fixed, 2)):
-                        assert stream(h, h, fixed, induced=True) == agree
-
-    def test_signed_induced_search_keeps_the_sides(self):
-        for h in [signed_cycle(4), signed_complete_bipartite(2, 3), SignedBipartiteGraph(2, 2, [(0, 0), (1, 1)])]:
-            flat = h.as_unsigned()
-            auts = permitted_maps(flat, flat, colors=h.colors, host_colors=h.colors, induced=True)
-            assert len(auts) == automorphism_count(h)
-            assert stream(flat, flat, colors=h.colors, host_colors=h.colors, induced=True) == auts
-
     def test_hosts_below_the_pattern_degree(self):
         # the host's leaves and isolated vertices are below the star centre's degree
         host = LabeledGraph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6), (1, 2)])
@@ -380,7 +348,6 @@ class TestBacktrackStream:
         host = LabeledGraph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
         for h in [C4_PLUS_ISOLATED, LabeledGraph(2), LabeledGraph(3, [(1, 2)])]:
             assert stream(h, host) == permitted_maps(h, host)
-            assert stream(h, host, induced=True) == permitted_maps(h, host, induced=True)
 
     def test_all_fixed_map_is_yielded_once(self):
         assert stream(cycle(4), complete(5), {0: 4, 1: 2, 2: 0, 3: 1}) == [(4, 2, 0, 1)]
@@ -392,9 +359,9 @@ class TestBacktrackStream:
 
 
 
-def frame_count(h, g, fixed=None, colors=None, host_colors=None, conditions=(), induced=False, avoid=0):
+def frame_count(h, g, fixed=None, colors=None, host_colors=None, conditions=(), avoid=0):
     """The maps under _frames, counted the way count_embeddings counts them."""
-    frames = embed._frames(h, g, fixed or {}, colors, host_colors, conditions, induced, avoid)
+    frames = embed._frames(h, g, fixed or {}, colors, host_colors, conditions, avoid)
     return sum(mask.bit_count() for _, _, mask in frames)
 
 
@@ -410,7 +377,6 @@ class TestCountingKernel:
             n = count_embeddings(h, g)
             assert n == len(stream(h, g)) == count_embeddings_naive(h, g) == frame_count(h, g)
             assert count_copies(h, g) == sum(1 for _ in enumerate_copies(h, g))
-            assert frame_count(h, g, induced=True) == len(stream(h, g, induced=True))
 
     def test_signed_pairs(self):
         rng = np.random.default_rng(41)
