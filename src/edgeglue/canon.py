@@ -18,6 +18,13 @@ the nodes of the first path, of the orbit of the child taken there, times
 the product of |cell|! at the first leaf.  The tests check both results
 against exhaustive-permutation oracles on graphs of at most 8 vertices.
 
+The search runs once per graph object and colouring.  Its result is kept on
+the (flat) graph object itself, beside its cached adjacency, keyed by the
+colouring, so `canonical_form`, `automorphism_count`, `_orbits`,
+`_swaps_ends` and each level of embed's stabiliser chain share one search
+whenever they ask about the same object.  Nothing is kept by value: an equal
+but distinct graph runs its own search, and the results die with the graph.
+
 The search keeps a leaf's certificate as one int: the graph6 adjacency bits
 of the relabeled graph, first bit most significant.  The certificate of an
 unsigned graph is its graph6 string, so certificates double as decodable
@@ -106,49 +113,69 @@ def _certificate_for_order(nbrs: list[list[int]], order: list[int]) -> int:
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    top = n * (n - 1) // 2 - 1
-    # bit of pair (i, j) sits at top - (j(j-1)/2 + i)
-    row = [top - j * (j - 1) // 2 for j in range(n)]
     cert = 0
     for i, v in enumerate(order):
-        r = row[i]
+        # the i bits of pairs (j, i), j < i, the bit of j = 0 first
+        row = 0
+        top = i - 1
         for u in nbrs[v]:
             j = pos[u]
             if j < i:
-                cert |= 1 << r - j
+                row |= 1 << top - j
+        cert = cert << i | row
     return cert
 
 
 def _is_color_complete(adj, cells) -> bool:
-    """True when adjacency is determined by the refined colour classes alone."""
-    for a in range(len(cells)):
+    """True when adjacency is determined by the refined colour classes alone.
+
+    The cells must be equitable, as `_refine` leaves them: every vertex of a
+    cell has the same number of neighbours in each cell, so the first vertex
+    of a cell speaks for all of it.  Adjacency is constant between cells a
+    and b iff that number is 0 or |b|, and inside cell a iff it is 0 or
+    |a| - 1, since no vertex is its own neighbour.
+    """
+    masks = [sum(map((1).__lshift__, cell)) for cell in cells]
+    for a, cell in enumerate(cells):
+        nb = adj[cell[0]]
         for b in range(a, len(cells)):
-            seen = set()
-            for u in cells[a]:
-                for v in cells[b]:
-                    if u == v:
-                        continue
-                    seen.add(adj[u] >> v & 1)
-            if len(seen) > 1:
+            count = (nb & masks[b]).bit_count()
+            if count and count != len(cells[b]) - (a == b):
                 return False
     return True
 
 
-def _search(g: LabeledGraph, colors) -> tuple[int, int, list[list[int]], list[list[int]]]:
-    """The least leaf certificate, |Aut| of the coloured graph, the
-    automorphisms found and the cells of the first leaf.
+_Result = tuple[int, int, tuple[tuple[int, ...], ...], tuple[int, ...]]
 
-    The tree, its pruning and the count are described in the module docstring.
+
+def _search(g: LabeledGraph, colors) -> _Result:
+    """The least leaf certificate, |Aut| of the coloured graph, the
+    automorphisms found and the refined colours of the first leaf, whose
+    classes are that leaf's cells.
+
+    The search runs once per graph object and colouring: its result is kept
+    on g, in the dict `g._searches` keyed by the colouring as a tuple, so it
+    dies with g.  The result is all tuples, so its callers can share it.
     """
+    key = tuple(colors)
+    found = g._searches.get(key)
+    if found is None:
+        found = g._searches[key] = _tree_search(g, key)
+    return found
+
+
+def _tree_search(g: LabeledGraph, colors) -> _Result:
+    """_search without the memo; the tree, its pruning and the count are
+    described in the module docstring."""
     n = g.vertex_count
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for a, b in g.edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
     width = n.bit_length()
-    gens: list[list[int]] = []
+    gens: list[tuple[int, ...]] = []
     first = best = None  # (certificate, order)
-    first_cells: list[list[int]] = []
+    first_colors: tuple[int, ...] = ()
     aut = 1
 
     def orbits(path: list[int]) -> list[int]:
@@ -158,7 +185,7 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int, list[list[int]], list[li
 
     def visit(colors: list[int], path: list[int]) -> bool:
         """Explore one subtree; True means a leaf equal to the first was found."""
-        nonlocal first, best, first_cells, aut
+        nonlocal first, best, first_colors, aut
         on_first_path = first is None
         colors = _refine(nbrs, colors, width)
         cells = _cells(colors)
@@ -171,23 +198,26 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int, list[list[int]], list[li
             cert = _certificate_for_order(nbrs, order)
             if on_first_path:
                 first = best = (cert, order)
-                first_cells = cells
+                first_colors = tuple(colors)
                 for cell in cells:
-                    aut *= factorial(len(cell))
+                    if len(cell) > 1:
+                        aut *= factorial(len(cell))
                 return False
             for ref_cert, ref_order in (first, best):
                 if cert == ref_cert:
                     gamma = [0] * n
                     for u, v in zip(ref_order, order):
                         gamma[u] = v
-                    gens.append(gamma)
+                    gens.append(tuple(gamma))
                     return cert == first[0]
             if cert < best[0]:
                 best = (cert, order)
             return False
         tried: list[int] = []
+        known = -1  # the number of automorphisms behind roots
         for v in target:
-            roots = orbits(path)
+            if known != len(gens):
+                known, roots = len(gens), orbits(path)
             if any(roots[v] == roots[w] for w in tried):
                 continue
             tried.append(v)
@@ -197,12 +227,13 @@ def _search(g: LabeledGraph, colors) -> tuple[int, int, list[list[int]], list[li
             if visit(branch, path + [v]) and not on_first_path:
                 return True
         if on_first_path:
-            roots = orbits(path)
+            if known != len(gens):
+                roots = orbits(path)
             aut *= roots.count(roots[target[0]])
         return False
 
     visit(list(colors), [])
-    return best[0], aut, gens, first_cells
+    return best[0], aut, tuple(gens), first_colors
 
 
 def _orbits(g: LabeledGraph, colors) -> tuple[list[int], int]:
@@ -213,9 +244,10 @@ def _orbits(g: LabeledGraph, colors) -> tuple[list[int], int]:
     finds (on K_n it finds none at all).
     """
     n = g.vertex_count
-    _, aut, gens, cells = _search(g, colors)
+    _, aut, gens, first_colors = _search(g, colors)
     pairs = [(u, gamma[u]) for gamma in gens for u in range(n)]
-    pairs += [(cell[0], u) for cell in cells for u in cell[1:]]
+    head: dict[int, int] = {}  # colour -> the first vertex of its cell
+    pairs += [(head.setdefault(c, u), u) for u, c in enumerate(first_colors)]
     return component_roots(n, pairs), aut
 
 

@@ -40,7 +40,7 @@ The front end checks each query's size once, before any mask is built
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import accumulate, combinations, product
 from math import prod
@@ -508,10 +508,17 @@ class ExtremalRecord:
                 raise InvariantViolation("witness contains a forbidden pattern")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["forbidden"] = list(self.forbidden)
-        d["size"] = list(self.size)
-        return d
+        """The fields in declaration order, the tuples as lists."""
+        return {
+            "kind": self.kind,
+            "forbidden": list(self.forbidden),
+            "size": list(self.size),
+            "value": self.value,
+            "witness": self.witness,
+            "method": self.method,
+            "runtime_ms": self.runtime_ms,
+            "timestamp": self.timestamp,
+        }
 
     @staticmethod
     def from_dict(d: dict) -> "ExtremalRecord":

@@ -94,6 +94,11 @@ class LabeledGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)
 
+    @cached_property
+    def _searches(self) -> dict:
+        """canon's search results on this graph, keyed by the colouring."""
+        return {}
+
     def has_edge(self, a: int, b: int) -> bool:
         return _normalize_edge((a, b)) in self.edges
 

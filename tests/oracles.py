@@ -49,3 +49,20 @@ def canonical_form_bruteforce(g: LabeledGraph) -> CanonicalLabel:
         if best is None or enc < best:
             best = enc
     return CanonicalLabel(b"g6:" + best.encode())
+
+
+def is_color_complete_pairwise(adj, cells) -> bool:
+    """Reference colour-complete test: scans every pair of distinct vertices
+    in every pair of cells and requires one adjacency bit per cell pair.
+    Unlike canon's test it does not need the cells to be equitable."""
+    for a in range(len(cells)):
+        for b in range(a, len(cells)):
+            seen = set()
+            for u in cells[a]:
+                for v in cells[b]:
+                    if u == v:
+                        continue
+                    seen.add(adj[u] >> v & 1)
+            if len(seen) > 1:
+                return False
+    return True

@@ -1,13 +1,16 @@
 """Canonical labeling and automorphism counting, cross-checked against
 exhaustive-permutation oracles."""
 
+import json
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeglue import canon
 from edgeglue.canon import (
     _orbits,
     _refine,
@@ -15,7 +18,7 @@ from edgeglue.canon import (
     canonical_form,
     decode_canonical,
 )
-from edgeglue.embed import count_embeddings
+from edgeglue.embed import _symmetry_conditions, count_copies, count_embeddings
 from edgeglue.errors import SizeExceeded
 from edgeglue.gluing import GluingSpec, signed_glue
 from edgeglue.graphs import (
@@ -24,6 +27,8 @@ from edgeglue.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    decode_graph6,
+    decode_sb,
     path,
     signed_complete_bipartite,
     signed_cycle,
@@ -32,7 +37,9 @@ from edgeglue.graphs import (
 )
 from math import factorial
 
-from oracles import automorphism_count_bruteforce, canonical_form_bruteforce
+from oracles import automorphism_count_bruteforce, canonical_form_bruteforce, is_color_complete_pairwise
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 
 
 @st.composite
@@ -379,3 +386,142 @@ class TestAutomorphisms:
         with pytest.raises(SizeExceeded):
             automorphism_count(SignedBipartiteGraph(18, 17))
         assert automorphism_count(LabeledGraph(34)) == factorial(34)
+
+
+def golden_graphs() -> list:
+    """The unsigned and signed input graphs of tests/data/golden.json."""
+    golden = json.loads(GOLDEN.read_text())
+    return [decode_graph6(row[1]) for row in golden["unsigned"]] + [decode_sb(row[1]) for row in golden["signed"]]
+
+
+def random_graphs(seed: int, count: int) -> list:
+    """Seeded random graphs of up to 14 vertices, every third one signed."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        p = rng.choice([0.1, 0.3, 0.5, 0.8])
+        if i % 3 == 2:
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            out.append(SignedBipartiteGraph(m, n, [(a, b) for a in range(m) for b in range(n) if rng.random() < p]))
+        else:
+            n = rng.randint(1, 14)
+            out.append(LabeledGraph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return out
+
+
+def flat(g):
+    """The graph canon searches and its colouring."""
+    if isinstance(g, SignedBipartiteGraph):
+        return g.as_unsigned(), g.colors
+    return g, (0,) * g.vertex_count
+
+
+def copy_of(g):
+    """An equal graph that is a distinct object."""
+    if isinstance(g, SignedBipartiteGraph):
+        return SignedBipartiteGraph(g.plus_count, g.minus_count, g.edges)
+    return LabeledGraph(g.vertex_count, g.edges)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Each uncached search, as (graph, colouring), in call order."""
+    calls = []
+    tree_search = canon._tree_search
+
+    def counted(g, colors):
+        calls.append((g, tuple(colors)))
+        return tree_search(g, colors)
+
+    monkeypatch.setattr(canon, "_tree_search", counted)
+    return calls
+
+
+class TestSearchMemo:
+    """canon keeps each search's result on the graph object, keyed by the
+    colouring; nothing is kept by value."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(6), rook(4), signed_cycle(6), signed_complete_bipartite(2, 3)],
+        ids=["C6", "rook4x4", "signed C6", "signed K2,3"],
+    )
+    def test_form_then_count_search_once(self, searches, g):
+        form = canonical_form(g)
+        assert automorphism_count(g) == automorphism_count(copy_of(g))
+        assert canonical_form(g) == form
+        assert [c for c in searches if c[0] is flat(g)[0]] == [flat(g)]
+        assert len(searches) == 2  # the copy ran its own
+
+    @pytest.mark.parametrize(
+        "h, host",
+        [(cycle(4), complete(6)), (complete_bipartite(2, 3), complete(6)), (signed_cycle(4), signed_complete_bipartite(3, 3))],
+        ids=["C4", "K2,3", "signed C4"],
+    )
+    def test_count_copies_reuses_the_level_0_search(self, searches, h, host):
+        aut = automorphism_count(h)
+        assert searches == [flat(h)]
+        copies = count_copies(h, host)
+        levels = [c for c in searches if c[0] is flat(h)[0]]
+        assert levels.count(flat(h)) == 1 and len(levels) > 1
+        # a repeat call on the same objects searches nothing
+        before = len(searches)
+        assert count_copies(h, host) == copies
+        assert automorphism_count(h) == aut
+        assert len(searches) == before
+
+    def test_memoised_results_equal_fresh_searches(self):
+        graphs_ = golden_graphs() + random_graphs(27, 300)
+        assert sum(isinstance(g, SignedBipartiteGraph) for g in graphs_) > 100
+        for g in graphs_:
+            form, aut = canonical_form(g), automorphism_count(g)
+            g_flat, colors = flat(g)
+            other = copy_of(g)
+            o_flat, _ = flat(other)
+            assert o_flat is not g_flat and o_flat == g_flat
+            assert canon._search(g_flat, colors) == canon._tree_search(o_flat, colors)
+            assert (canonical_form(g), automorphism_count(g)) == (form, aut)
+            assert (canonical_form(other), automorphism_count(other)) == (form, aut)
+
+    def test_memoised_chain_equals_fresh_chain(self):
+        for g in random_graphs(41, 60):
+            if g.vertex_count > 12:
+                continue
+            g_flat, colors = flat(g)
+            chain = _symmetry_conditions(g_flat, colors)
+            assert _symmetry_conditions(g_flat, colors) == chain
+            assert _symmetry_conditions(flat(copy_of(g))[0], colors) == chain
+
+    def test_equal_objects_search_separately(self, searches):
+        a, b = rook(4), rook(4)
+        assert a == b and a is not b
+        assert canonical_form(a) == canonical_form(b)
+        assert searches == [flat(a), flat(b)]
+        assert searches[0][0] is a and searches[1][0] is b
+        assert a._searches is not b._searches
+        signed_a, signed_b = signed_cycle(4), signed_cycle(4)
+        assert automorphism_count(signed_a) == automorphism_count(signed_b)
+        assert len(searches) == 4
+
+
+class TestColorComplete:
+    """canon's colour-complete test reads one vertex per cell, which is right
+    only on the equitable partitions `_refine` leaves; on every partition
+    the search reaches it must agree with the pairwise reference."""
+
+    def test_agrees_with_the_pairwise_reference(self, monkeypatch):
+        outcomes = []
+        fast = canon._is_color_complete
+
+        def checked(adj, cells):
+            got = fast(adj, cells)
+            assert got == is_color_complete_pairwise(adj, cells), cells
+            outcomes.append(got)
+            return got
+
+        monkeypatch.setattr(canon, "_is_color_complete", checked)
+        graphs_ = golden_graphs() + [hypercube(4), rook(4), shrikhande()] + random_graphs(13, 200)
+        for g in graphs_:
+            g_flat, colors = flat(g)
+            canon._tree_search(g_flat, colors)
+        assert outcomes.count(True) > 50 and outcomes.count(False) > 50

@@ -192,10 +192,11 @@ class TestEnumerateCopies:
     def test_k66_chain_is_fast(self):
         """Each level of K_{6,6}'s chain is one refined canonical search;
         a backtracking orbit search without refinement took over half a
-        second on it."""
-        h = complete_bipartite(6, 6)
+        second on it.  Each run gets a fresh pattern, because canon keeps
+        its searches on the graph object."""
         best = float("inf")
         for _ in range(3):
+            h = complete_bipartite(6, 6)
             start = time.perf_counter()
             _, order = embed._symmetry_conditions(h, None)
             best = min(best, time.perf_counter() - start)

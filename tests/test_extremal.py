@@ -738,6 +738,27 @@ class TestRecordStore:
         assert w == exact_zarankiewicz(3, 3, signed_cycle(4)).witness_graph()
         hit.validate()
 
+    def test_to_dict_equals_asdict(self):
+        """`to_dict` builds the dict by hand; it must equal `dataclasses.asdict`
+        with the tuples as lists, key order included, so stored lines keep
+        their bytes."""
+        old_z = dataclasses.replace(exact_zarankiewicz(3, 3, signed_cycle(4)), witness="EEh_")
+        records = [
+            exact_turan(5, [cycle(4)]),
+            exact_turan(6, [cycle(4), complete(3)]),
+            exact_zarankiewicz(3, 4, signed_cycle(4)),
+            old_z,
+            dataclasses.replace(exact_turan(4, [cycle(4)]), timestamp=""),
+        ]
+        for rec in records:
+            expected = {**dataclasses.asdict(rec), "forbidden": list(rec.forbidden), "size": list(rec.size)}
+            got = rec.to_dict()
+            assert got == expected
+            assert list(got) == list(expected)
+            assert stored_line(got) == stored_line(expected)
+            assert ExtremalRecord.from_dict(got) == rec
+        old_z.validate()
+
     @staticmethod
     def torn_store(path_):
         """A store whose last append was cut short."""
