@@ -3,7 +3,9 @@
 Everything here is exact rational arithmetic (fractions.Fraction); the
 cleaning threshold additionally reports its two branches as symbolic
 (n-exponent, gamma-exponent) pairs so callers can compare exponents rather
-than floats.
+than floats.  The threshold is the forest-gluing exponent written as a
+density: since p n^2 = n^{1 + alpha'}, each branch's n-exponent is the
+matching branch of es_exponent_branches less 1.
 """
 
 from __future__ import annotations
@@ -48,34 +50,32 @@ def feasibility_check(s: PatternStats, alpha) -> bool:
     return (s.ell - 1) + (1 - s.eF) * (1 - Fraction(alpha)) >= 1
 
 
-def es_exponent_forest(alpha, s: PatternStats) -> Fraction:
-    """Exponent after gluing copies along a forest:
+def es_exponent_branches(alpha, s: PatternStats) -> tuple[Fraction, Fraction]:
+    """Both branches of the exponent after gluing copies along a forest, for
+    an (F, alpha) that passes feasibility_check:
 
-    max{ 1 - (h-l)/(e(H)-e(F)), 1 - (1-alpha)/(l-1 + (1-e(F))(1-alpha)) }.
+    ( 1 - (h-l)/(e(H)-e(F)), 1 - (1-alpha)/(l-1 + (1-e(F))(1-alpha)) ).
     """
     alpha = Fraction(alpha)
     if not feasibility_check(s, alpha):
         raise InfeasibleInput(
             "(v(F)-1) + (1-e(F))(1-alpha) < 1: the deletion lower bound rules this out"
         )
-    return max(es_exponent_branches(alpha, s))
-
-
-def es_exponent_branches(alpha, s: PatternStats) -> tuple[Fraction, Fraction]:
-    """Both branches of the exponent max, for reporting."""
-    alpha = Fraction(alpha)
     first = 1 - Fraction(s.h - s.ell, s.eH - s.eF)
-    denom = (s.ell - 1) + (1 - s.eF) * (1 - alpha)
-    second = 1 - (1 - alpha) / denom
+    second = 1 - (1 - alpha) / ((s.ell - 1) + (1 - s.eF) * (1 - alpha))
     return first, second
+
+
+def es_exponent_forest(alpha, s: PatternStats) -> Fraction:
+    """The forest-gluing exponent alpha', the larger of es_exponent_branches."""
+    return max(es_exponent_branches(alpha, s))
 
 
 def tree_gluing_exponent(t: LabeledGraph) -> Fraction:
     """Exponent 1 - 1/r for gluing copies of a tree along its r leaves."""
     if not t.is_tree() or t.vertex_count < 3:
         raise PreconditionViolated("need a tree on at least 3 vertices")
-    r = sum(1 for v in range(t.vertex_count) if t.degree(v) == 1)
-    return 1 - Fraction(1, r)
+    return 1 - Fraction(1, t.degrees.count(1))
 
 
 def cycle_tree_exponent(cycle_lengths) -> Fraction:
@@ -115,9 +115,10 @@ def cleaning_threshold(n: int, s: PatternStats, gamma, alpha, c=1) -> CleaningTh
 
     C * max( n^{-(h-l)/(e(H)-e(F))} gamma^{-1/(e(H)-e(F))},
              (n gamma)^{(alpha-1)/((l-1)+(1-alpha)(1-e(F)))} ).
-    """
+
+    Each n-exponent, and branch 2's gamma-exponent, is its branch of
+    es_exponent_branches less 1."""
     gamma = Fraction(gamma)
-    alpha = Fraction(alpha)
     c = Fraction(c)
     if n < 1:
         raise PreconditionViolated("n must be at least 1")
@@ -125,14 +126,10 @@ def cleaning_threshold(n: int, s: PatternStats, gamma, alpha, c=1) -> CleaningTh
         raise PreconditionViolated("gamma must lie in (0, 1]")
     if c <= 0:
         raise PreconditionViolated("C must be positive")
-    if not feasibility_check(s, alpha):
-        raise InfeasibleInput("feasibility inequality fails for these (F, alpha)")
-    b1 = ThresholdBranch(
-        n_exponent=-Fraction(s.h - s.ell, s.eH - s.eF),
-        gamma_exponent=-Fraction(1, s.eH - s.eF),
-    )
-    expo = (alpha - 1) / ((s.ell - 1) + (1 - alpha) * (1 - s.eF))
-    b2 = ThresholdBranch(n_exponent=expo, gamma_exponent=expo)
+    first, second = es_exponent_branches(alpha, s)
+    # a density p with p n^2 = n^{1 + alpha'} is n^{alpha' - 1}
+    b1 = ThresholdBranch(n_exponent=first - 1, gamma_exponent=-Fraction(1, s.eH - s.eF))
+    b2 = ThresholdBranch(n_exponent=second - 1, gamma_exponent=second - 1)
     try:
         # float() of a Fraction past the range, and math.exp, raise OverflowError; math.log
         # of a gamma that rounds to 0.0 raises ValueError; a float product past it is inf or nan

@@ -106,42 +106,31 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _cached_or_compute(path, kind, forbidden_certs, size, compute):
-    if path:
-        hit = store.lookup(path, kind, forbidden_certs, size)
-        if hit is not None:
-            return replace(hit, method="cached")
-    rec = compute()
-    if path:
-        store.store_record(path, rec)
-    return rec
+def _exact(args, kind: str, size: tuple[int, ...], forbidden: list) -> int:
+    """ex and zex: the stored record for the query, marked "cached", or a
+    fresh solve, appended to the store when there is one."""
+    path = _store_path(args)
+    certs = extremal.forbidden_certificates(forbidden)
+    hit = store.lookup(path, kind, certs, size) if path else None
+    if hit is not None:
+        rec = replace(hit, method="cached")
+    else:
+        if kind == "turan":
+            rec = extremal.exact_turan(*size, forbidden, method=args.method)
+        else:
+            rec = extremal.exact_zarankiewicz(*size, *forbidden, method=args.method)
+        if path:
+            store.store_record(path, rec)
+    _emit({"value": rec.value, "witness": rec.witness, "method": rec.method})
+    return 0
 
 
 def cmd_ex(args) -> int:
-    forbidden = [parse_graph(t) for t in args.forbid]
-    certs = extremal.forbidden_certificates(forbidden)
-    rec = _cached_or_compute(
-        _store_path(args),
-        "turan",
-        certs,
-        (args.n,),
-        lambda: extremal.exact_turan(args.n, forbidden, method=args.method),
-    )
-    _emit({"value": rec.value, "witness": rec.witness, "method": rec.method})
-    return 0
+    return _exact(args, "turan", (args.n,), [parse_graph(t) for t in args.forbid])
 
 
 def cmd_zex(args) -> int:
-    h = parse_signed_graph(args.pattern)
-    rec = _cached_or_compute(
-        _store_path(args),
-        "zarankiewicz",
-        extremal.forbidden_certificates([h]),
-        (args.m, args.n),
-        lambda: extremal.exact_zarankiewicz(args.m, args.n, h, method=args.method),
-    )
-    _emit({"value": rec.value, "witness": rec.witness, "method": rec.method})
-    return 0
+    return _exact(args, "zarankiewicz", (args.m, args.n), [parse_signed_graph(args.pattern)])
 
 
 def _rooted_from_args(args) -> gluing.RootedPattern:
@@ -160,10 +149,8 @@ def _stats_from_args(args) -> bounds.PatternStats:
 
 
 def cmd_exponent(args) -> int:
-    stats = _stats_from_args(args)
-    value = bounds.es_exponent_forest(args.alpha, stats)
-    b1, b2 = bounds.es_exponent_branches(args.alpha, stats)
-    _emit({"alpha_prime": _frac_str(value), "branch": 1 if b1 >= b2 else 2})
+    b1, b2 = bounds.es_exponent_branches(args.alpha, _stats_from_args(args))
+    _emit({"alpha_prime": _frac_str(max(b1, b2)), "branch": 1 if b1 >= b2 else 2})
     return 0
 
 
@@ -281,6 +268,12 @@ def _add_rooted_flags(sp):
                     help="distinguished edge index (defaults to the root edge)")
 
 
+def _add_exact_flags(sp):
+    sp.add_argument("--method", choices=["oracle", "branch-and-bound"],
+                    default="branch-and-bound")
+    sp.add_argument("--store", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="edgeglue")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -302,18 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ex", help="exact Turán number")
     sp.add_argument("--n", type=_natural, required=True)
     sp.add_argument("--forbid", action="append", required=True)
-    sp.add_argument("--method", choices=["oracle", "branch-and-bound"],
-                    default="branch-and-bound")
-    sp.add_argument("--store", default=None)
+    _add_exact_flags(sp)
     sp.set_defaults(func=cmd_ex)
 
     sp = sub.add_parser("zex", help="exact Zarankiewicz number")
     sp.add_argument("--m", type=_natural, required=True)
     sp.add_argument("--n", type=_natural, required=True)
     sp.add_argument("--pattern", required=True, help="signed pattern (c4, k2,3, s2+, ...)")
-    sp.add_argument("--method", choices=["oracle", "branch-and-bound"],
-                    default="branch-and-bound")
-    sp.add_argument("--store", default=None)
+    _add_exact_flags(sp)
     sp.set_defaults(func=cmd_zex)
 
     sp = sub.add_parser("exponent", help="forest-gluing exponent")

@@ -78,17 +78,17 @@ def _frames(
     the last level's pattern vertex and mask its candidates, in lexicographic
     order.  With nothing to place (depth 0), the one frame is (image, None, 1).
 
-    Each condition (v, w) asks map[v] < map[w]; v must be fixed or come
-    before w in index order, so it is placed when w's candidates are drawn.
-    No level takes a host vertex in the bitmask avoid.
+    Each condition (v, w) asks map[v] < map[w]; v must come before w in
+    index order, so it is placed when w's candidates are drawn, and neither
+    may be fixed.  No level takes a host vertex in the bitmask avoid.
 
     The vertices not in fixed are placed in index order, one level each.
     Before the loop, each level gets a static mask: the host vertices of at
     least its pattern vertex's degree and of its colour, adjacent to the
-    images of its fixed neighbours and above the images of its fixed lower
-    bounds.  A level's candidates are its static mask less the used and
-    avoided vertices, cut down by the images of the earlier levels it
-    depends on; the stack holds each level's candidates not yet tried.
+    images of its fixed neighbours.  A level's candidates are its static
+    mask less the used and avoided vertices, cut down by the images of the
+    earlier levels it depends on; the stack holds each level's candidates
+    not yet tried.
     """
     pn, hn = pattern.vertex_count, host.vertex_count
     if pn > hn:
@@ -123,12 +123,9 @@ def _frames(
         for w, u in fixed.items():
             if padj[v] >> w & 1:
                 mask &= hadj[u]
-        for w in lower[v]:
-            if w in fixed:
-                mask &= -2 << fixed[w]  # host vertices above fixed[w]
         static.append(mask)
         adjacent.append([w for w in order[:i] if padj[v] >> w & 1])
-        above.append([w for w in lower[v] if w not in fixed])
+        above.append(lower[v])
     last, v_last = depth - 1, order[-1]
     if not last:
         yield image, v_last, static[0] & ~used

@@ -87,9 +87,6 @@ class LabeledGraph:
             adj[b] |= 1 << a
         return tuple(adj)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)

@@ -55,6 +55,16 @@ class TestForestExponent:
         with pytest.raises(InfeasibleInput):
             es_exponent_forest(Fraction(0), s)
 
+    def test_zero_denominator_is_infeasible(self):
+        # one root vertex at alpha = 1 zeroes branch 2's denominator (l-1) + (1-e(F))(1-alpha)
+        s = PatternStats(h=3, eH=2, ell=1, eF=0)
+        with pytest.raises(InfeasibleInput):
+            es_exponent_branches(1, s)
+        with pytest.raises(InfeasibleInput):
+            es_exponent_forest(1, s)
+        with pytest.raises(InfeasibleInput):
+            cleaning_threshold(10, s, 1, 1)
+
 
 class TestFeasibility:
     def test_edge_always_feasible(self):

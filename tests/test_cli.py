@@ -325,15 +325,21 @@ class TestSeededCommands:
 
 
 class TestCache:
-    def test_compute_store_recompute_hits_cache(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "query, value",
+        [(("ex", "--n", "5", "--forbid", "c4"), 6), (("zex", "--m", "4", "--n", "4", "--pattern", "c4"), 9)],
+        ids=["ex", "zex"],
+    )
+    def test_compute_store_recompute_hits_cache(self, capsys, tmp_path, query, value):
         store = str(tmp_path / "records.jsonl")
-        args = ("ex", "--n", "5", "--forbid", "c4", "--store", store)
+        args = (*query, "--store", store)
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         first, second = json.loads(out1), json.loads(out2)
         assert first["method"] == "branch-and-bound"
         assert second["method"] == "cached"
-        assert first["value"] == second["value"] == 6
+        assert first["value"] == second["value"] == value
+        assert first["witness"] == second["witness"]
 
     def test_cache_listing(self, capsys, tmp_path):
         store = str(tmp_path / "records.jsonl")

@@ -314,9 +314,9 @@ class TestBacktrackStream:
                 continue
             checked += 1
             assert stream(h, g, fixed) == permitted_maps(h, g, fixed)
-            # conditions (v, w) on a placed w, with v fixed or placed before it
-            pairs = permutations(range(h.vertex_count), 2)
-            pairs = [(v, w) for v, w in pairs if w not in fixed and (v < w or v in fixed)]
+            # conditions (v, w) between placed vertices, v placed before w
+            pairs = combinations(range(h.vertex_count), 2)
+            pairs = [(v, w) for v, w in pairs if v not in fixed and w not in fixed]
             conditions = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(0, 3))]]
             assert stream(h, g, fixed, conditions=conditions) == permitted_maps(h, g, fixed, conditions=conditions)
 

@@ -79,7 +79,6 @@ class TestLabeledGraph:
 
     def test_degrees_and_adjacency(self):
         g = star(3)
-        assert g.degree(0) == 3
         assert g.degrees == (3, 1, 1, 1)
         assert g.adjacency == (0b1110, 0b1, 0b1, 0b1)
 
